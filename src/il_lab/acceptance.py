@@ -389,6 +389,8 @@ def _prop_flow_conservation():
         if i < 10:
             sol = solve_occupancy_match(mdp, random_target(mix64(909, i, 2),
                                                            S, A, H))
+            if sol.status != "optimal":
+                return False, f"LP on instance {i} returned {sol.status}"
             dd = sol.occupancies.d
             for t in range(H - 1):
                 inflow = np.einsum("sa,saz->z", dd[t], mdp.transitions[t])
@@ -512,9 +514,23 @@ CRITERIA = [
 ]
 
 
+def check_ids(ids):
+    """The criterion ids as a set; ValueError on any id outside 1..9."""
+    ids = set(ids)
+    known = [k for k, _, _ in CRITERIA]
+    unknown = sorted(ids - set(known))
+    if unknown:
+        raise ValueError(f"unknown criterion id(s) {unknown}; valid ids are "
+                         f"{known[0]}-{known[-1]}")
+    return ids
+
+
 def run(only=None, out=print):
     """Run criteria (all, or the ids in `only`); one PASS/FAIL line each.
-    Returns {id: (ok, detail)}."""
+    Returns {id: (ok, detail)}. Unknown ids raise ValueError before any
+    criterion runs, so a mistyped subset cannot pass vacuously."""
+    if only:
+        only = check_ids(only)
     results = {}
     for k, name, fn in CRITERIA:
         if only and k not in only:

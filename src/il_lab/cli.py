@@ -102,11 +102,15 @@ def _cmd_fit(args):
     return 0
 
 
+def _criterion_ids(text):
+    try:
+        return acceptance.check_ids(int(tok) for tok in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _cmd_verify(args):
-    only = None
-    if args.only:
-        only = {int(tok) for tok in args.only.split(",")}
-    results = acceptance.run(only)
+    results = acceptance.run(args.only)
     return 0 if all(ok for ok, _ in results.values()) else 1
 
 
@@ -171,7 +175,7 @@ def build_parser():
     f.set_defaults(func=_cmd_fit)
 
     v = sub.add_parser("verify", help="run the acceptance suite")
-    v.add_argument("--only", default="",
+    v.add_argument("--only", type=_criterion_ids, default=None,
                    help="comma-separated criterion ids, e.g. 2,3,8")
     v.set_defaults(func=_cmd_verify)
     return p

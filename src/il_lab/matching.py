@@ -1,12 +1,14 @@
 """Occupancy-measure L1 matching over the occupancy polytope, the solver
 behind both moment matching and replay-estimation training. The LP is
 
-    min sum e    s.t.  sum_a d_0(s,a) = rho(s)
-                       sum_a d_{t+1}(s',a) = sum_{s,a} d_t(s,a) P_t(s'|s,a)
-                       e >= d - g,  e >= g - d,  d, e >= 0
+    min sum (u + v)  s.t.  sum_a d_0(s,a) = rho(s)
+                           sum_a d_{t+1}(s',a) = sum_{s,a} d_t(s,a) P_t(s'|s,a)
+                           d - u + v = g,  d, u, v >= 0
 
-linearized with one slack per inequality. Objectives are L1 distances
-(= 2 TV on probability layers); every threshold in this package is L1."""
+so d - g = u - v splits the deviation into its positive and negative parts;
+at an optimum at most one of u, v is nonzero per cell and sum (u + v) is the
+L1 distance. Objectives are L1 distances (= 2 TV on probability layers);
+every threshold in this package is L1."""
 
 from dataclasses import dataclass
 
@@ -57,16 +59,16 @@ class LpSolution:
 
 
 def build_match_lp(mdp, g):
-    """Dense (A, b, c, nd): columns [d | e | s1 | s2], rows
-    [flow | d - e + s1 = g | d + e - s2 = g]."""
+    """Dense (A, b, c, nd): columns [d | u | v], rows [flow | d - u + v = g],
+    cost [0 | 1 | 1]; (H*S + nd) x 3*nd with nd = H*S*A."""
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
     nd = H * S * A
-    m = H * S + 2 * nd
-    n = 4 * nd
+    m = H * S + nd
+    n = 3 * nd
     Amat = np.zeros((m, n))
     b = np.zeros(m)
     c = np.zeros(n)
-    c[nd:2 * nd] = 1.0
+    c[nd:] = 1.0
     for s in range(S):
         Amat[s, s * A:(s + 1) * A] = 1.0
     b[:S] = mdp.rho
@@ -76,32 +78,25 @@ def build_match_lp(mdp, g):
             base = ((t + 1) * S + s2) * A
             Amat[ri, base:base + A] = 1.0
             Amat[ri, t * S * A:(t + 1) * S * A] -= mdp.transitions[t, :, :, s2].ravel()
-    gf = g.ravel()
-    rows1 = H * S + np.arange(nd)
-    rows2 = H * S + nd + np.arange(nd)
+    rows = H * S + np.arange(nd)
     cols = np.arange(nd)
-    Amat[rows1, cols] = 1.0
-    Amat[rows1, nd + cols] = -1.0
-    Amat[rows1, 2 * nd + cols] = 1.0
-    Amat[rows2, cols] = 1.0
-    Amat[rows2, nd + cols] = 1.0
-    Amat[rows2, 3 * nd + cols] = -1.0
-    b[H * S:H * S + nd] = gf
-    b[H * S + nd:] = gf
+    Amat[rows, cols] = 1.0
+    Amat[rows, nd + cols] = -1.0
+    Amat[rows, 2 * nd + cols] = 1.0
+    b[H * S:] = g.ravel()
     return Amat, b, c, nd
 
 
 def crash_basis(mdp, g, nd):
-    """Feasible start: the always-action-0 occupancy covers the flow rows
-    (triangular in time), e = |d0 - g| covers the cell rows, and per cell the
-    loose slack (s1 when d0 <= g, else s2) completes the basis."""
+    """Feasible start: the always-action-0 occupancy d0 covers the flow rows
+    (triangular in time), and each cell row takes u = d0 - g when d0 > g,
+    else v = g - d0, so every basic value is nonnegative."""
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
     pi0 = deterministic_policy(np.zeros((H, S), dtype=np.int64), A)
     d0 = exact_occupancy(mdp, pi0).d.ravel()
-    gf = g.ravel()
     basis = [(t * S + s) * A for t in range(H) for s in range(S)]
-    basis.extend(nd + i for i in range(nd))
-    basis.extend(2 * nd + i if d0[i] <= gf[i] else 3 * nd + i for i in range(nd))
+    over = d0 > g.ravel()
+    basis.extend((np.where(over, nd, 2 * nd) + np.arange(nd)).tolist())
     return basis
 
 

@@ -4,7 +4,13 @@ degenerate stall; iteration cap 50 * #variables; reduced-cost tolerance 1e-9.
 At every claimed optimum the basis is refactorized from the original data and
 certified (fresh reduced costs and basic solution); iteration resumes if the
 certificate fails, so accumulated tableau drift cannot leak into results.
-Never reports "optimal" without that certificate."""
+Never reports "optimal" without that certificate.
+
+Each pivot's rank-1 update touches only the tableau entries whose pivot-row
+and pivot-column factors are both nonzero (a few percent of the pivot row on
+the matching LPs). Every other entry would have had an exact zero subtracted,
+so skipping it changes at most the sign of a zero: the pivot path, basis and
+solution are those of the dense update."""
 
 import numpy as np
 
@@ -80,7 +86,8 @@ def _iterate(T, basis, m, n, tol, stall_limit, budget):
         else:
             p = cand[np.argmax(col[cand])]
         piv = T[p, :] / T[p, j]
-        T -= np.outer(T[:, j], piv)
+        rows, cols = np.flatnonzero(T[:, j]), np.flatnonzero(piv)
+        T[np.ix_(rows, cols)] -= np.outer(T[rows, j], piv[cols])
         T[p, :] = piv
         basis[p] = j
         obj = T[m, n]

@@ -1,10 +1,13 @@
 """The acceptance gate: one test per criterion, each printing a single
 ACCEPTANCE <id> (<name>): PASS/FAIL line to the live terminal (capture
-disabled) so the verdicts survive into piped pytest output."""
+disabled) so the verdicts survive into piped pytest output. The gate's own
+failure reporting is tested at the end."""
 
+import numpy as np
 import pytest
 
 from il_lab import acceptance
+from il_lab.matching import LpSolution
 
 
 def _run(capsys, cid):
@@ -48,3 +51,18 @@ def test_acceptance_8_exact_targets_close_the_gap(capsys):
 
 def test_acceptance_9_structural_properties_hold(capsys):
     _run(capsys, 9)
+
+
+def test_run_rejects_unknown_ids():
+    with pytest.raises(ValueError, match="valid ids are 1-9"):
+        acceptance.run(only={8, 42}, out=lambda line: None)
+
+
+def test_flow_property_reports_lp_failure(monkeypatch):
+    def failing(mdp, target):
+        return LpSolution(None, np.inf, "numeric-failure", 0)
+
+    monkeypatch.setattr(acceptance, "solve_occupancy_match", failing)
+    ok, note = acceptance._prop_flow_conservation()
+    assert not ok
+    assert "numeric-failure" in note

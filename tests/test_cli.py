@@ -143,3 +143,15 @@ def test_verify_single_criterion(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "ACCEPTANCE 8" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("only", ["42", "0,8", "8,x"])
+def test_verify_rejects_unknown_criteria(only, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--only", only])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "ACCEPTANCE" not in captured.out
+    assert "--only" in captured.err
+    if only != "8,x":
+        assert "valid ids are 1-9" in captured.err

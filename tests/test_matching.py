@@ -1,13 +1,96 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from il_lab.acceptance import random_mdp, random_policy, random_target
-from il_lab.instances import make_bc_lb, make_mm_lb
-from il_lab.matching import MatchTarget, brute_force_match, extract_policy, \
-    solve_occupancy_match
+from il_lab.datasets import SplitConfig, empirical_occupancy, sample_dataset
+from il_lab.instances import geometric_reset, make_bc_lb, make_mm_lb
+from il_lab.learners import ReConfig, re_pipeline
+from il_lab.matching import MatchTarget, brute_force_match, build_match_lp, \
+    crash_basis, extract_policy, solve_occupancy_match
 from il_lab.mdp import OccupancyMeasures, TabularMdp, exact_occupancy, \
     policy_value
 from il_lab.rng import mix64
+
+
+@lru_cache(maxsize=None)
+def bc_lb_targets(n=1024, seed=515):
+    """bc-lb S=16, H=8 (the mixture component of the acceptance gate) with
+    its empirical (mm) and hybrid (re) targets from one dataset."""
+    mdp, expert = make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7)
+    ds = sample_dataset(mdp, expert, n, mix64(seed, 1))
+    emp = empirical_occupancy(ds, mdp.num_states, mdp.num_actions)
+    hybrid = re_pipeline(ds, mdp, ReConfig(split=SplitConfig(0.5, seed)))
+    return mdp, [MatchTarget.from_occupancy(emp), hybrid["target"]]
+
+
+def l1_match_reference(mdp, g):
+    """min sum e s.t. flow, -e <= d - g <= e, solved by scipy HiGHS; written
+    from the definition, independently of build_match_lp."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
+    nd = H * S * A
+    flow = np.zeros((H * S, nd))
+    for t in range(H):
+        for s in range(S):
+            flow[t * S + s, (t * S + s) * A:(t * S + s + 1) * A] = 1.0
+            if t:
+                flow[t * S + s, (t - 1) * S * A:t * S * A] = \
+                    -mdp.transitions[t - 1, :, :, s].ravel()
+    rhs = np.zeros(H * S)
+    rhs[:S] = mdp.rho
+    eye = np.eye(nd)
+    res = linprog(np.r_[np.zeros(nd), np.ones(nd)],
+                  A_ub=np.block([[eye, -eye], [-eye, -eye]]),
+                  b_ub=np.r_[g.ravel(), -g.ravel()],
+                  A_eq=np.hstack([flow, np.zeros((H * S, nd))]), b_eq=rhs,
+                  bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return res.fun
+
+
+def test_match_lp_blocks():
+    mdp, targets = bc_lb_targets()
+    g = targets[0].g
+    Amat, b, c, nd = build_match_lp(mdp, g)
+    assert nd == 8 * 16 * 2
+    assert Amat.shape == (8 * 16 + nd, 3 * nd) == (384, 768)
+    assert np.array_equal(c, np.r_[np.zeros(nd), np.ones(2 * nd)])
+    cells = Amat[8 * 16:]
+    assert np.array_equal(cells, np.hstack([np.eye(nd), -np.eye(nd),
+                                            np.eye(nd)]))
+    assert np.array_equal(b[8 * 16:], g.ravel())
+    assert not Amat[:8 * 16, nd:].any()
+
+
+def test_crash_basis_is_feasible():
+    mdp, targets = bc_lb_targets()
+    small = random_mdp(mix64(96), 3, 2, 4)
+    cases = [(mdp, t.g) for t in targets]
+    cases.append((small, random_target(mix64(97), 3, 2, 4).g))
+    for m, g in cases:
+        Amat, b, _, nd = build_match_lp(m, g)
+        basis = crash_basis(m, g, nd)
+        assert len(basis) == len(set(basis)) == Amat.shape[0]
+        B = Amat[:, basis]
+        assert np.linalg.matrix_rank(B) == Amat.shape[0]
+        xb = np.linalg.solve(B, b)
+        assert xb.min() >= -1e-12
+        # Per cell exactly one of u, v is basic.
+        tail = np.array(basis[-nd:])
+        assert np.array_equal(tail % nd, np.arange(nd))
+        assert set((tail // nd).tolist()) <= {1, 2}
+
+
+def test_objective_matches_highs_on_bc_lb():
+    for n, seed in ((1024, 515), (4096, 516)):
+        mdp, targets = bc_lb_targets(n, seed)
+        for target in targets:
+            sol = solve_occupancy_match(mdp, target)
+            assert sol.status == "optimal"
+            ref = l1_match_reference(mdp, target.g)
+            assert abs(sol.objective - ref) <= 1e-6, (n, sol.objective, ref)
 
 
 def test_target_validation():

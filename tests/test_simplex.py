@@ -4,8 +4,11 @@ import pytest
 pytest.importorskip("scipy")
 from scipy.optimize import linprog
 
+from il_lab.instances import geometric_reset, make_bc_lb, make_mm_lb
+from il_lab.matching import build_match_lp, crash_basis
+from il_lab.mdp import exact_occupancy
 from il_lab.rng import mix64
-from il_lab.simplex import simplex
+from il_lab.simplex import _PIVOT_MIN, TOL, _iterate, simplex
 
 
 def standard_form(A_ub, b_ub, c):
@@ -87,3 +90,102 @@ def test_iteration_cap_reports_failure_not_lies():
     x, obj, status, _ = simplex(A, b, c, [1], stall_limit=1)
     assert status == "optimal"
     assert obj == pytest.approx(-1.0, abs=1e-12)
+
+
+def dense_iterate(T, basis, m, n, tol, stall_limit, budget):
+    """Reference _iterate with the full rank-1 update on every pivot."""
+    bland = False
+    stall = 0
+    last_obj = T[m, n]
+    for it in range(max(budget, 1)):
+        r = T[m, :n]
+        if bland:
+            js = np.flatnonzero(r > tol)
+            if js.size == 0:
+                return True, it
+            j = js[0]
+        else:
+            j = int(np.argmax(r))
+            if r[j] <= tol:
+                return True, it
+        col = T[:m, j]
+        pos = np.flatnonzero(col > _PIVOT_MIN)
+        if pos.size == 0:
+            return False, it
+        ratios = T[pos, n] / col[pos]
+        theta = ratios.min()
+        cand = pos[ratios <= theta + 1e-12]
+        if bland:
+            p = cand[np.argmin(basis[cand])]
+        else:
+            p = cand[np.argmax(col[cand])]
+        piv = T[p, :] / T[p, j]
+        T -= np.outer(T[:, j], piv)
+        T[p, :] = piv
+        basis[p] = j
+        obj = T[m, n]
+        if obj > last_obj - 1e-12:
+            stall += 1
+            if stall >= stall_limit:
+                bland = True
+        else:
+            stall = 0
+            last_obj = obj
+    return False, max(budget, 1)
+
+
+class PivotLog(np.ndarray):
+    """Basis array that records every (row, entering column) assignment."""
+
+    def __setitem__(self, key, value):
+        self.log.append((int(key), int(value)))
+        super().__setitem__(key, value)
+
+
+def tableau(A, b, c, basis):
+    m, n = A.shape
+    B = A[:, basis]
+    T = np.empty((m + 1, n + 1))
+    T[:m, :n] = np.linalg.solve(B, A)
+    T[:m, n] = np.linalg.solve(B, b)
+    T[:m, n][np.abs(T[:m, n]) < 1e-11] = 0.0
+    T[m, :n] = c[basis] @ T[:m, :n] - c
+    T[m, n] = c[basis] @ T[:m, n]
+    return T
+
+
+def pivot_path(iterate, A, b, c, basis, stall_limit):
+    m, n = A.shape
+    T = tableau(A, b, c, basis)
+    log = np.array(basis).view(PivotLog)
+    log.log = []
+    claimed, it = iterate(T, log, m, n, TOL, stall_limit, 50 * n)
+    return claimed, it, log.log, T
+
+
+def test_sparse_update_follows_the_dense_pivot_path():
+    mm_mdp, mm_expert = make_mm_lb(8, 1024)
+    bc_mdp, bc_expert = make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7)
+    lps = []
+    for mdp, expert in ((mm_mdp, mm_expert), (bc_mdp, bc_expert)):
+        d = exact_occupancy(mdp, expert).d
+        tilt = np.array([mix64(98, i) for i in range(d.size)]) / 2.0**64
+        g = 0.5 * d + 0.5 * (tilt / tilt.sum()).reshape(d.shape) * mdp.horizon
+        Amat, b, c, nd = build_match_lp(mdp, g)
+        lps.append((Amat, b, c, crash_basis(mdp, g, nd)))
+    A, b, c, basis = standard_form(unit(74, 6, 9), unit(75, 6) + 1.0,
+                                   unit(76, 9) - 0.5)
+    lps.append((A, b, c, basis))
+    # A zero right-hand side and a one-pivot stall limit force Bland's rule.
+    lps.append((np.array([[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 1.0]]),
+                np.array([1.0, 0.0]), np.array([-1.0, -1.0, 0.0, 0.0]),
+                [2, 3]))
+    for k, (A, b, c, basis) in enumerate(lps):
+        for stall_limit in (200, 1):
+            sparse = pivot_path(_iterate, A, b, c, basis, stall_limit)
+            dense = pivot_path(dense_iterate, A, b, c, basis, stall_limit)
+            assert sparse[0] and dense[0], k
+            assert sparse[2] == dense[2], (k, stall_limit)
+            assert len(sparse[2]) > 0
+            # Equal up to the sign of zeros, so bit for bit otherwise.
+            assert np.array_equal(sparse[3], dense[3]), (k, stall_limit)
