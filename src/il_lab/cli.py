@@ -6,9 +6,10 @@ import json
 import sys
 
 from . import acceptance
-from .datasets import SplitConfig, load_dataset, sample_dataset, save_dataset
+from .datasets import SplitConfig, check_dataset, load_dataset, \
+    sample_dataset, save_dataset
 from .harness import ExperimentConfig, event_probe, fit_slope, load_csv, \
-    rows_to_csv, run_experiment, _make_instance
+    make_instance, rows_to_csv, run_experiment
 from .learners import ReConfig, bc_train, mm_train, re_train
 from .mdp import load_json, mdp_from_json, mdp_to_json, policy_from_json, \
     policy_to_json, policy_value, save_json
@@ -20,8 +21,8 @@ def _cmd_gen_instance(args):
            "construction_seed": args.construction_seed,
            "mixture_seed": args.mixture_seed}
     cfg = {k: v for k, v in cfg.items() if v is not None}
-    component, mdp, expert = _make_instance(cfg, args.H, args.n_exp,
-                                            args.draw)
+    component, mdp, expert = make_instance(cfg, args.H, args.n_exp,
+                                           args.draw)
     save_json(mdp_to_json(mdp), f"{args.out}.mdp.json")
     save_json(policy_to_json(expert), f"{args.out}.policy.json")
     print(f"{component}: wrote {args.out}.mdp.json and {args.out}.policy.json"
@@ -60,6 +61,10 @@ def _re_config(spec_text):
 def _cmd_train(args):
     mdp = mdp_from_json(load_json(args.instance))
     ds = load_dataset(args.dataset)
+    try:
+        check_dataset(ds, mdp)
+    except ValueError as exc:
+        raise SystemExit(f"train: {exc}") from None
     if args.learner == "bc":
         pol = bc_train(ds, mdp.num_states, mdp.num_actions, mdp.horizon)
     elif args.learner == "mm":

@@ -83,6 +83,20 @@ def empirical_occupancy(dataset, S, A):
     return OccupancyMeasures(counts.reshape(H, S, A) / dataset.n, "empirical")
 
 
+def check_dataset(dataset, mdp):
+    """Raise ValueError unless the dataset fits the instance: the same
+    horizon, and every state and action index inside its (S, A)."""
+    if dataset.horizon != mdp.horizon:
+        raise ValueError(f"dataset horizon {dataset.horizon} does not match "
+                         f"the instance horizon {mdp.horizon}")
+    for name, arr, size in (("state", dataset.states, mdp.num_states),
+                            ("action", dataset.actions, mdp.num_actions)):
+        top = arr.max(initial=-1)
+        if top >= size:
+            raise ValueError(f"dataset {name} index {top} is outside the "
+                             f"instance's {size} {name}s")
+
+
 def split(dataset, cfg):
     """Disjoint (D1, D2) by a seeded permutation of trajectory indices."""
     n = dataset.n
@@ -130,10 +144,14 @@ def load_dataset(path):
         rows = [json.loads(line) for line in fh if line.strip()]
     if len(rows) != header["n"]:
         raise ValueError("trajectory count disagrees with header")
-    if not rows:
-        z = np.zeros((0, header["H"]), dtype=np.int64)
-        return Dataset(z, z, tuple(header["provenance"]))
-    arr = np.array(rows, dtype=np.int64)
-    if arr.size and arr.shape[1] != header["H"]:
-        raise ValueError("trajectory length disagrees with header")
+    H = header["H"]
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != H:
+            raise ValueError(f"trajectory {i}: expected {H} (state, action) "
+                             "pairs as the header says")
+        if not all(isinstance(pair, list) and len(pair) == 2
+                   and all(type(v) is int for v in pair) for pair in row):
+            raise ValueError(f"trajectory {i}: every step must be an "
+                             "integer (state, action) pair")
+    arr = np.array(rows, dtype=np.int64).reshape(len(rows), H, 2)
     return Dataset(arr[:, :, 0], arr[:, :, 1], tuple(header["provenance"]))

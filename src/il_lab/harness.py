@@ -14,8 +14,8 @@ from itertools import product
 import numpy as np
 
 from .datasets import Dataset, SplitConfig, sample_dataset
-from .instances import (make_bc_lb, make_fan, make_mixture_sampler,
-                        make_mm_lb, make_two_state_uniform, geometric_reset)
+from .instances import (MixtureSampler, make_bc_lb, make_fan, make_mm_lb,
+                        make_two_state_uniform, geometric_reset)
 from .learners import ReConfig, bc_train, mm_train, re_train
 from .mdp import policy_value, rollout_batch
 from .rng import mix64
@@ -73,7 +73,7 @@ def _reset_dist(kind, num_states, ratio):
     raise ValueError(f"unknown reset kind {kind!r}")
 
 
-def _make_instance(inst_cfg, H, n_exp, draw_index):
+def make_instance(inst_cfg, H, n_exp, draw_index):
     """Resolve one grid cell to (component_tag, mdp, expert)."""
     family = inst_cfg["family"]
     if family == "mm-lb":
@@ -93,7 +93,7 @@ def _make_instance(inst_cfg, H, n_exp, draw_index):
         return family, mdp, expert
     if family == "mixture":
         S = inst_cfg.get("states", 16)
-        sampler = make_mixture_sampler(
+        sampler = MixtureSampler(
             inst_cfg.get("mixture_seed", 0),
             mm_horizon=H, bc_states=S, bc_horizon=H,
             bc_actions=inst_cfg.get("actions", 2),
@@ -127,7 +127,7 @@ def run_cell(instance_cfg, learner_cfg, H, n_exp, run_seed, seed_index=0,
              draw_index=0):
     """One measurement. Dataset seed is hash(run_seed, 1), so the same
     run_seed yields the same dataset for every learner (paired designs)."""
-    component, mdp, expert = _make_instance(instance_cfg, H, n_exp, draw_index)
+    component, mdp, expert = make_instance(instance_cfg, H, n_exp, draw_index)
     dataset = sample_dataset(mdp, expert, n_exp, mix64(run_seed, 1),
                              instance_id=component, policy_id="expert")
     t0 = time.perf_counter()

@@ -148,10 +148,6 @@ class MixtureSampler:
         return "bc-lb", mdp, expert
 
 
-def make_mixture_sampler(seed, **kwargs):
-    return MixtureSampler(seed, **kwargs)
-
-
 def perturb_policy(policy, gamma, deviation):
     """(1-gamma) policy + gamma deviation, rowwise; per-row TV to the base
     policy is at most gamma."""

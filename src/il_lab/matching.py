@@ -1,14 +1,15 @@
 """Occupancy-measure L1 matching over the occupancy polytope, the solver
-behind both moment matching and replay-estimation training. The LP is
+behind both moment matching and replay-estimation training. Each cell's
+occupancy splits as d = p + q with p <= g, and the LP is
 
-    min sum (u + v)  s.t.  sum_a d_0(s,a) = rho(s)
+    min sum (q - p)  s.t.  sum_a d_0(s,a) = rho(s)
                            sum_a d_{t+1}(s',a) = sum_{s,a} d_t(s,a) P_t(s'|s,a)
-                           d - u + v = g,  d, u, v >= 0
+                           0 <= p <= g,  q >= 0
 
-so d - g = u - v splits the deviation into its positive and negative parts;
-at an optimum at most one of u, v is nonzero per cell and sum (u + v) is the
-L1 distance. Objectives are L1 distances (= 2 TV on probability layers);
-every threshold in this package is L1."""
+on the flow rows alone, solved by the bounded-variable simplex. At an
+optimum p = min(d, g) and q = (d - g)^+, so sum (q - p) + sum g is the L1
+distance sum |d - g|. Objectives are L1 distances (= 2 TV on probability
+layers); every threshold in this package is L1."""
 
 from dataclasses import dataclass
 
@@ -59,45 +60,37 @@ class LpSolution:
 
 
 def build_match_lp(mdp, g):
-    """Dense (A, b, c, nd): columns [d | u | v], rows [flow | d - u + v = g],
-    cost [0 | 1 | 1]; (H*S + nd) x 3*nd with nd = H*S*A."""
+    """Dense (A, b, c, upper, nd): columns [p | q], both blocks the flow
+    matrix, rows the H*S flow constraints, cost [-1 | 1], upper [g | inf];
+    H*S x 2*nd with nd = H*S*A."""
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
     nd = H * S * A
-    m = H * S + nd
-    n = 3 * nd
-    Amat = np.zeros((m, n))
-    b = np.zeros(m)
-    c = np.zeros(n)
-    c[nd:] = 1.0
+    flow = np.zeros((H * S, nd))
+    b = np.zeros(H * S)
     for s in range(S):
-        Amat[s, s * A:(s + 1) * A] = 1.0
+        flow[s, s * A:(s + 1) * A] = 1.0
     b[:S] = mdp.rho
     for t in range(H - 1):
         for s2 in range(S):
             ri = (t + 1) * S + s2
             base = ((t + 1) * S + s2) * A
-            Amat[ri, base:base + A] = 1.0
-            Amat[ri, t * S * A:(t + 1) * S * A] -= mdp.transitions[t, :, :, s2].ravel()
-    rows = H * S + np.arange(nd)
-    cols = np.arange(nd)
-    Amat[rows, cols] = 1.0
-    Amat[rows, nd + cols] = -1.0
-    Amat[rows, 2 * nd + cols] = 1.0
-    b[H * S:] = g.ravel()
-    return Amat, b, c, nd
+            flow[ri, base:base + A] = 1.0
+            flow[ri, t * S * A:(t + 1) * S * A] -= mdp.transitions[t, :, :, s2].ravel()
+    c = np.r_[np.full(nd, -1.0), np.ones(nd)]
+    upper = np.r_[g.ravel(), np.full(nd, np.inf)]
+    return np.hstack([flow, flow]), b, c, upper, nd
 
 
 def crash_basis(mdp, g, nd):
     """Feasible start: the always-action-0 occupancy d0 covers the flow rows
-    (triangular in time), and each cell row takes u = d0 - g when d0 > g,
-    else v = g - d0, so every basic value is nonnegative."""
+    (triangular in time) through each action-0 cell's p where d0 <= g, else
+    its q, so with every nonbasic variable at 0 each basic value d0 lies
+    within its bounds."""
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
     pi0 = deterministic_policy(np.zeros((H, S), dtype=np.int64), A)
-    d0 = exact_occupancy(mdp, pi0).d.ravel()
-    basis = [(t * S + s) * A for t in range(H) for s in range(S)]
-    over = d0 > g.ravel()
-    basis.extend((np.where(over, nd, 2 * nd) + np.arange(nd)).tolist())
-    return basis
+    cells = np.arange(H * S) * A
+    d0 = exact_occupancy(mdp, pi0).d.ravel()[cells]
+    return (cells + np.where(d0 > g.ravel()[cells], nd, 0)).tolist()
 
 
 def solve_occupancy_match(mdp, target):
@@ -105,14 +98,15 @@ def solve_occupancy_match(mdp, target):
     g = target.g
     if g.shape != (mdp.horizon, mdp.num_states, mdp.num_actions):
         raise ValueError("target/mdp dimension mismatch")
-    Amat, b, c, nd = build_match_lp(mdp, g)
+    Amat, b, c, upper, nd = build_match_lp(mdp, g)
     basis = crash_basis(mdp, g, nd)
-    x, obj, status, iters = sx.simplex(Amat, b, c, basis)
+    x, obj, status, iters = sx.simplex(Amat, b, c, basis, upper)
     if status != "optimal":
         return LpSolution(None, np.inf, "numeric-failure", iters)
-    d = np.maximum(x[:nd].reshape(g.shape), 0.0)
+    d = (x[:nd] + x[nd:]).reshape(g.shape)
     honest = float(np.abs(d - g).sum())
-    if abs(honest - obj) > OBJ_TOL or _flow_residual(mdp, d) > FLOW_TOL:
+    l1 = obj + g.sum()
+    if abs(honest - l1) > OBJ_TOL or _flow_residual(mdp, d) > FLOW_TOL:
         return LpSolution(None, np.inf, "numeric-failure", iters)
     occ = OccupancyMeasures(d, "exact")
     return LpSolution(occ, honest, "optimal", iters)

@@ -17,38 +17,47 @@ def _run(capsys, cid):
     assert ok, f"criterion {cid}: {detail}"
 
 
+@pytest.mark.acceptance
 def test_acceptance_1_rare_start_gap_scales_like_inverse_sqrt_n(capsys):
     _run(capsys, 1)
 
 
+@pytest.mark.acceptance
 def test_acceptance_2_conditional_gap_is_exact_on_conditioned_draws(capsys):
     _run(capsys, 2)
 
 
+@pytest.mark.acceptance
 def test_acceptance_3_conditioning_events_are_not_rare(capsys):
     _run(capsys, 3)
 
 
+@pytest.mark.acceptance
 def test_acceptance_4_bc_gap_scales_with_h_squared_over_n(capsys):
     _run(capsys, 4)
 
 
+@pytest.mark.acceptance
 def test_acceptance_5_replay_estimation_beats_both_baselines(capsys):
     _run(capsys, 5)
 
 
+@pytest.mark.acceptance
 def test_acceptance_6_lp_matches_brute_force_and_policy_grids(capsys):
     _run(capsys, 6)
 
 
+@pytest.mark.acceptance
 def test_acceptance_7_replay_identities_hold(capsys):
     _run(capsys, 7)
 
 
+@pytest.mark.acceptance
 def test_acceptance_8_exact_targets_close_the_gap(capsys):
     _run(capsys, 8)
 
 
+@pytest.mark.acceptance
 def test_acceptance_9_structural_properties_hold(capsys):
     _run(capsys, 9)
 

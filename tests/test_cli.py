@@ -76,6 +76,25 @@ def test_train_writes_policy(tmp_path, learner, capsys):
     assert "J(policy) =" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("learner", ["bc", "mm", "re"])
+def test_train_rejects_dataset_of_another_instance(tmp_path, learner):
+    # A bc-lb S=5, H=6 dataset against the mm-lb H=4 instance: every
+    # learner stops at the same check before training.
+    prefix = gen_instance(tmp_path)
+    other = tmp_path / "bc"
+    assert main(["gen-instance", "--family", "bc-lb", "--H", "6",
+                 "--states", "5", "--out", str(other)]) == 0
+    data = gen_dataset(tmp_path, other)
+    out = tmp_path / "policy.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--learner", learner, "--instance",
+              f"{prefix}.mdp.json", "--dataset", str(data),
+              "--out", str(out)])
+    assert exc.value.code == ("train: dataset horizon 6 does not match the "
+                              "instance horizon 4")
+    assert not out.exists()
+
+
 def test_train_re_config_from_file(tmp_path):
     prefix = gen_instance(tmp_path)
     data = gen_dataset(tmp_path, prefix)

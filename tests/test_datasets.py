@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from il_lab.datasets import Dataset, SplitConfig, empirical_occupancy, \
-    load_dataset, missing_mass, sample_dataset, save_dataset, split, \
+    check_dataset, load_dataset, missing_mass, sample_dataset, save_dataset, split, \
     visited_table
 from il_lab.instances import geometric_reset, make_bc_lb, make_fan, \
     make_mm_lb
@@ -198,3 +198,36 @@ def test_load_rejects_inconsistent_header(tmp_path):
     path.write_text('{"n": 2, "H": 1, "provenance": ["", "", 0]}\n[[0, 0]]\n')
     with pytest.raises(ValueError):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    # Ragged: the second trajectory is one step short.
+    ("[[0, 0], [1, 0]]\n[[0, 1]]\n", "trajectory 1: expected 2"),
+    # Triples instead of (state, action) pairs.
+    ("[[0, 0, 0], [1, 0, 0]]\n", "trajectory 0: every step"),
+    # Not an integer index.
+    ("[[0, 0], [1, 0.5]]\n", "trajectory 0: every step"),
+])
+def test_load_rejects_malformed_rows(tmp_path, rows, message):
+    n = rows.count("\n")
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f'{{"n": {n}, "H": 2, "provenance": ["", "", 0]}}\n'
+                    + rows)
+    with pytest.raises(ValueError, match=message):
+        load_dataset(path)
+
+
+def test_check_dataset_against_instance():
+    mdp, expert = make_mm_lb(4, 64)
+    ds = sample_dataset(mdp, expert, 8, 3)
+    check_dataset(ds, mdp)
+    with pytest.raises(ValueError, match="horizon 4 does not match the "
+                                         "instance horizon 5"):
+        check_dataset(ds, make_mm_lb(5, 64)[0])
+    big = make_bc_lb(5, 4)[0]
+    with pytest.raises(ValueError, match=r"state index \d is outside the "
+                                         "instance's 2 states"):
+        check_dataset(sample_dataset(big, make_bc_lb(5, 4)[1], 64, 3), mdp)
+    bad_action = Dataset(ds.states, np.full(ds.states.shape, 2))
+    with pytest.raises(ValueError, match="action index 2"):
+        check_dataset(bad_action, mdp)

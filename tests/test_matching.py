@@ -53,15 +53,19 @@ def l1_match_reference(mdp, g):
 def test_match_lp_blocks():
     mdp, targets = bc_lb_targets()
     g = targets[0].g
-    Amat, b, c, nd = build_match_lp(mdp, g)
+    Amat, b, c, upper, nd = build_match_lp(mdp, g)
     assert nd == 8 * 16 * 2
-    assert Amat.shape == (8 * 16 + nd, 3 * nd) == (384, 768)
-    assert np.array_equal(c, np.r_[np.zeros(nd), np.ones(2 * nd)])
-    cells = Amat[8 * 16:]
-    assert np.array_equal(cells, np.hstack([np.eye(nd), -np.eye(nd),
-                                            np.eye(nd)]))
-    assert np.array_equal(b[8 * 16:], g.ravel())
-    assert not Amat[:8 * 16, nd:].any()
+    assert Amat.shape == (8 * 16, 2 * nd) == (128, 512)
+    # p and q are the same flow columns of d = p + q.
+    assert np.array_equal(Amat[:, :nd], Amat[:, nd:])
+    assert np.array_equal(c, np.r_[-np.ones(nd), np.ones(nd)])
+    assert np.array_equal(upper, np.r_[g.ravel(), np.full(nd, np.inf)])
+    assert np.array_equal(b, np.r_[mdp.rho, np.zeros(7 * 16)])
+    # Each flow row sums the actions of its own (t, s) cell.
+    for t in range(8):
+        for s in range(16):
+            row = Amat[t * 16 + s, t * 32:(t + 1) * 32].reshape(16, 2)
+            assert np.array_equal(row[s], [1.0, 1.0])
 
 
 def test_crash_basis_is_feasible():
@@ -70,17 +74,20 @@ def test_crash_basis_is_feasible():
     cases = [(mdp, t.g) for t in targets]
     cases.append((small, random_target(mix64(97), 3, 2, 4).g))
     for m, g in cases:
-        Amat, b, _, nd = build_match_lp(m, g)
+        Amat, b, _, upper, nd = build_match_lp(m, g)
         basis = crash_basis(m, g, nd)
         assert len(basis) == len(set(basis)) == Amat.shape[0]
         B = Amat[:, basis]
         assert np.linalg.matrix_rank(B) == Amat.shape[0]
+        # Every nonbasic variable at 0: the basic values lie in the bounds.
         xb = np.linalg.solve(B, b)
         assert xb.min() >= -1e-12
-        # Per cell exactly one of u, v is basic.
-        tail = np.array(basis[-nd:])
-        assert np.array_equal(tail % nd, np.arange(nd))
-        assert set((tail // nd).tolist()) <= {1, 2}
+        assert (xb - upper[basis]).max() <= 1e-12
+        # Per (t, s) the action-0 cell: p where it fits under g, else q.
+        cells = np.array(basis) % nd
+        assert np.array_equal(cells, np.arange(Amat.shape[0]) * m.num_actions)
+        fits = xb <= g.ravel()[cells]
+        assert np.array_equal(np.array(basis) < nd, fits)
 
 
 def test_objective_matches_highs_on_bc_lb():
