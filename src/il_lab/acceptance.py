@@ -232,14 +232,24 @@ def _grid_min(mdp, g):
     contrib = np.einsum("s,ka,saz->skz", mdp.rho, G, mdp.transitions[0])
     w1 = sum(contrib[s, combos[:, s], :] for s in range(S))
     for z in range(S):
-        best_z = np.empty(len(combos))
-        for lo in range(0, len(combos), 16384):
-            block = w1[lo:lo + 16384, z]
-            dev = np.abs(block[:, None, None] * G[None, :, :]
-                         - g[1, z][None, None, :]).sum(axis=2)
-            best_z[lo:lo + 16384] = dev.min(axis=1)
-        cost = cost + best_z
+        cost = cost + _layer_min(w1[:, z], g[1, z], G)
     return float(cost.min())
+
+
+def _layer_min(w, g, G):
+    """min_k |w G_k - g|_1 over the A=2 grid rows G_k = (k, 64 - k) / 64,
+    for each state mass in w. The deviation is convex and piecewise linear in
+    k with breakpoints 64 g_0 / w and 64 (1 - g_1 / w), so the grid minimum
+    lies at the floor or ceiling of a breakpoint, or at k = 0 or 64."""
+    steps = len(G) - 1
+    bp = np.zeros((len(w), 2))
+    np.divide(steps * np.c_[np.full_like(w, g[0]), w - g[1]], w[:, None],
+              out=bp, where=w[:, None] > 0)
+    bp = np.clip(bp, 0, steps)
+    ks = np.c_[np.floor(bp), np.ceil(bp), np.zeros_like(w),
+               np.full_like(w, steps)].astype(np.int64)
+    dev = np.abs(w[:, None, None] * G[ks] - g).sum(axis=2)
+    return dev.min(axis=1)
 
 
 def criterion_6():

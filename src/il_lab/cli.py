@@ -6,8 +6,8 @@ import json
 import sys
 
 from . import acceptance
-from .datasets import SplitConfig, check_dataset, load_dataset, \
-    sample_dataset, save_dataset
+from .datasets import check_dataset, load_dataset, sample_dataset, \
+    save_dataset
 from .harness import ExperimentConfig, event_probe, fit_slope, load_csv, \
     make_instance, rows_to_csv, run_experiment
 from .learners import ReConfig, bc_train, mm_train, re_train
@@ -47,24 +47,13 @@ def _re_config(spec_text):
         doc = json.loads(spec_text)
     else:
         doc = load_json(spec_text)
-    return ReConfig(
-        split=SplitConfig(doc.get("frac1", 0.5), doc.get("split_seed", 0)),
-        replay_mode=doc.get("replay_mode", "exact"),
-        n_replay=doc.get("n_replay", 1000),
-        replay_seed=doc.get("replay_seed", 0),
-        use_full_data=doc.get("use_full_data", False),
-        tie_rule=doc.get("tie_rule", "lowest"),
-        oracle_override=doc.get("oracle_override"),
-        include_current=doc.get("include_current", False))
+    return ReConfig.from_dict(doc)
 
 
 def _cmd_train(args):
     mdp = mdp_from_json(load_json(args.instance))
     ds = load_dataset(args.dataset)
-    try:
-        check_dataset(ds, mdp)
-    except ValueError as exc:
-        raise SystemExit(f"train: {exc}") from None
+    check_dataset(ds, mdp)
     if args.learner == "bc":
         pol = bc_train(ds, mdp.num_states, mdp.num_actions, mdp.horizon)
     elif args.learner == "mm":
@@ -187,8 +176,13 @@ def build_parser():
 
 
 def main(argv=None):
+    """Runs one command; a ValueError it raises (bad input) ends the run with
+    "<command>: <message>" instead of a traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .datasets import Dataset, SplitConfig, sample_dataset
+from .datasets import Dataset, sample_dataset
 from .instances import (MixtureSampler, make_bc_lb, make_fan, make_mm_lb,
                         make_two_state_uniform, geometric_reset)
 from .learners import ReConfig, bc_train, mm_train, re_train
@@ -112,13 +112,13 @@ def _train(learner_cfg, dataset, mdp, run_seed):
     if lid == "mm":
         return mm_train(dataset, mdp)
     if lid == "re":
-        cfg = ReConfig(
-            split=SplitConfig(learner_cfg.get("frac1", 0.5), mix64(run_seed, 2)),
-            replay_mode=learner_cfg.get("replay_mode", "exact"),
-            n_replay=learner_cfg.get("n_replay", 1000),
-            replay_seed=mix64(run_seed, 3),
-            use_full_data=learner_cfg.get("use_full_data", False),
-            tie_rule=learner_cfg.get("tie_rule", "lowest"))
+        opts = {k: v for k, v in learner_cfg.items() if k != "id"}
+        derived = sorted({"split_seed", "replay_seed"} & set(opts))
+        if derived:
+            raise ValueError(f"learner keys {', '.join(derived)} are derived "
+                             "from the run seed")
+        cfg = ReConfig.from_dict({**opts, "split_seed": mix64(run_seed, 2),
+                                  "replay_seed": mix64(run_seed, 3)})
         return re_train(dataset, mdp, cfg)
     raise ValueError(f"unknown learner {lid!r}")
 

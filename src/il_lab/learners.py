@@ -8,7 +8,7 @@ over states strictly before t (empty product 1 at t=0). The alternative that
 includes the current state is exposed via include_current for sensitivity
 checks, not used by defaults."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -75,6 +75,22 @@ class ReConfig:
             raise ValueError("n_replay must be positive in mc mode")
         if self.oracle_override not in (None, "ones", "zeros"):
             raise ValueError("oracle_override must be None, 'ones' or 'zeros'")
+
+    @classmethod
+    def from_dict(cls, doc):
+        """ReConfig from a flat mapping: frac1 and split_seed make the split,
+        every other key names a field. Unknown keys raise ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError("replay-estimation config must be a mapping")
+        known = {"frac1", "split_seed"} | {f.name for f in fields(cls)
+                                          if f.name != "split"}
+        unknown = sorted(set(doc) - known)
+        if unknown:
+            raise ValueError("unknown replay-estimation config keys: "
+                             + ", ".join(unknown))
+        opts = dict(doc)
+        split = SplitConfig(opts.pop("frac1", 0.5), opts.pop("split_seed", 0))
+        return cls(split=split, **opts)
 
 
 def bc_train(dataset, S, A, H, tie_rule="lowest"):

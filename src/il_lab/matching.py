@@ -1,14 +1,13 @@
 """Occupancy-measure L1 matching over the occupancy polytope, the solver
-behind both moment matching and replay-estimation training. Each cell's
-occupancy splits as d = p + q with p <= g, and the LP is
+behind both moment matching and replay-estimation training. The LP has one
+column per cell d_t(s,a) and only the flow rows:
 
-    min sum (q - p)  s.t.  sum_a d_0(s,a) = rho(s)
+    min sum |d - g|  s.t.  sum_a d_0(s,a) = rho(s)
                            sum_a d_{t+1}(s',a) = sum_{s,a} d_t(s,a) P_t(s'|s,a)
-                           0 <= p <= g,  q >= 0
+                           d >= 0,
 
-on the flow rows alone, solved by the bounded-variable simplex. At an
-optimum p = min(d, g) and q = (d - g)^+, so sum (q - p) + sum g is the L1
-distance sum |d - g|. Objectives are L1 distances (= 2 TV on probability
+solved by the breakpoint simplex, which prices each |d - g| with its
+breakpoint at g. Objectives are L1 distances (= 2 TV on probability
 layers); every threshold in this package is L1."""
 
 from dataclasses import dataclass
@@ -50,8 +49,9 @@ class MatchTarget:
 @dataclass(frozen=True, eq=False)
 class LpSolution:
     """status "optimal" is only set after independent verification: flow
-    residual within 1e-8 and objective reproduced from the occupancies
-    within 1e-8. Anything unverifiable is "numeric-failure", never silent."""
+    residual within 1e-8 and the L1 distance of the occupancies within 1e-8
+    of the solver's dual bound. Anything unverifiable is "numeric-failure",
+    never silent."""
 
     occupancies: object
     objective: float
@@ -59,13 +59,11 @@ class LpSolution:
     iterations: int
 
 
-def build_match_lp(mdp, g):
-    """Dense (A, b, c, upper, nd): columns [p | q], both blocks the flow
-    matrix, rows the H*S flow constraints, cost [-1 | 1], upper [g | inf];
-    H*S x 2*nd with nd = H*S*A."""
+def build_match_lp(mdp):
+    """Dense (A, b): one column per cell d_t(s,a), one row per flow
+    constraint; H*S x H*S*A."""
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
-    nd = H * S * A
-    flow = np.zeros((H * S, nd))
+    flow = np.zeros((H * S, H * S * A))
     b = np.zeros(H * S)
     for s in range(S):
         flow[s, s * A:(s + 1) * A] = 1.0
@@ -76,21 +74,14 @@ def build_match_lp(mdp, g):
             base = ((t + 1) * S + s2) * A
             flow[ri, base:base + A] = 1.0
             flow[ri, t * S * A:(t + 1) * S * A] -= mdp.transitions[t, :, :, s2].ravel()
-    c = np.r_[np.full(nd, -1.0), np.ones(nd)]
-    upper = np.r_[g.ravel(), np.full(nd, np.inf)]
-    return np.hstack([flow, flow]), b, c, upper, nd
+    return flow, b
 
 
-def crash_basis(mdp, g, nd):
-    """Feasible start: the always-action-0 occupancy d0 covers the flow rows
-    (triangular in time) through each action-0 cell's p where d0 <= g, else
-    its q, so with every nonbasic variable at 0 each basic value d0 lies
-    within its bounds."""
-    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
-    pi0 = deterministic_policy(np.zeros((H, S), dtype=np.int64), A)
-    cells = np.arange(H * S) * A
-    d0 = exact_occupancy(mdp, pi0).d.ravel()[cells]
-    return (cells + np.where(d0 > g.ravel()[cells], nd, 0)).tolist()
+def crash_basis(mdp):
+    """Feasible start: the action-0 cells, one per flow row. The basis is
+    triangular in time and its basic values are the always-action-0
+    occupancy, which is nonnegative."""
+    return (np.arange(mdp.horizon * mdp.num_states) * mdp.num_actions).tolist()
 
 
 def solve_occupancy_match(mdp, target):
@@ -98,15 +89,13 @@ def solve_occupancy_match(mdp, target):
     g = target.g
     if g.shape != (mdp.horizon, mdp.num_states, mdp.num_actions):
         raise ValueError("target/mdp dimension mismatch")
-    Amat, b, c, upper, nd = build_match_lp(mdp, g)
-    basis = crash_basis(mdp, g, nd)
-    x, obj, status, iters = sx.simplex(Amat, b, c, basis, upper)
+    Amat, b = build_match_lp(mdp)
+    x, bound, status, iters = sx.simplex(Amat, b, g.ravel(), crash_basis(mdp))
     if status != "optimal":
         return LpSolution(None, np.inf, "numeric-failure", iters)
-    d = (x[:nd] + x[nd:]).reshape(g.shape)
+    d = x.reshape(g.shape)
     honest = float(np.abs(d - g).sum())
-    l1 = obj + g.sum()
-    if abs(honest - l1) > OBJ_TOL or _flow_residual(mdp, d) > FLOW_TOL:
+    if abs(honest - bound) > OBJ_TOL or _flow_residual(mdp, d) > FLOW_TOL:
         return LpSolution(None, np.inf, "numeric-failure", iters)
     occ = OccupancyMeasures(d, "exact")
     return LpSolution(occ, honest, "optimal", iters)

@@ -1,20 +1,31 @@
-"""Dense bounded-variable primal simplex for min c.x s.t. Ax = b,
-0 <= x <= upper (upper=None: no upper bounds), warm-started from a
-caller-supplied basis that is feasible with every nonbasic variable at 0.
-Dantzig pricing with a Bland fallback after a degenerate stall; iteration cap
-50 * #variables; reduced-cost tolerance 1e-9. At every claimed optimum the
-basis is refactorized from the original data and certified (fresh reduced
-costs and basic solution, within the bounds); iteration resumes if the
-certificate fails, so accumulated tableau drift cannot leak into results.
-Never reports "optimal" without that certificate.
+"""Dense breakpoint simplex for the L1 match
 
-Upper bounds use Dantzig's upper-bounding technique: a nonbasic variable sits
-at 0 or at its bound, and pricing reads its reduced cost with the sign of the
-direction it can move. The ratio test stops at a basic variable reaching 0 or
-its bound, or at the entering variable's own bound; in the last case the
-variable flips bounds with no basis change and no tableau update (only the
-basic values and the objective move). A flip counts as an iteration.
-Variables with a zero bound are fixed and never enter.
+    min sum_j |x_j - g_j|  s.t.  Ax = b, x >= 0,
+
+one column per variable, warm-started from a caller-supplied basis that is
+feasible with every nonbasic x at 0. Each cost |x - g| is piecewise linear
+with its breakpoint at g (Fourer 1985, A simplex algorithm for
+piecewise-linear programming I, Math. Prog. 33):
+
+- a nonbasic x sits at 0 or at g;
+- a basic x lives on one segment, [0, g] with slope -1 or [g, inf) with
+  slope +1 (a zero g has only the second); the first round reads each
+  segment from the crash values;
+- pricing reads the slope on the side x_j would move to: an entering x_j
+  gains max(z_j + up_j, down_j - z_j) per unit, with z = c_B B^-1 A and
+  per-variable offsets up/down that change in O(1) per pivot;
+- the ratio test stops a basic x at the ends of its segment, and an entering
+  x that reaches its own breakpoint first flips between 0 and g with no basis
+  change and no tableau update. A flip counts as an iteration.
+
+Dantzig pricing with a Bland fallback after a degenerate stall; iteration cap
+50 * #variables; reduced-cost tolerance 1e-9. Each round factors the basis
+once and certifies it from the original data (basic values within their
+segments, no profitable direction); only when that fails does it build a
+tableau and iterate, so a crash that already prices out costs no tableau and
+accumulated drift cannot leak into results. The objective returned is the
+certificate's dual bound b.y + sum_j g_j min(1, -z_j). Never reports
+"optimal" without that certificate.
 
 Each pivot's rank-1 update touches only the tableau entries whose pivot-row
 and pivot-column factors are both nonzero (a few percent of the pivot row on
@@ -30,91 +41,93 @@ _PIVOT_MIN = 1e-9
 _MAX_ROUNDS = 20
 
 
-def simplex(A, b, c, basis, upper=None, tol=TOL, stall_limit=STALL_LIMIT):
+def simplex(A, b, g, basis, stall_limit=STALL_LIMIT):
     """Returns (x, objective, status, iterations) with status in
-    {"optimal", "numeric-failure"}. basis must index a basis that is feasible
-    with every nonbasic variable at 0."""
+    {"optimal", "numeric-failure"}; objective is the certificate's dual bound.
+    basis must index a basis that is feasible with every nonbasic x at 0."""
     m, n = A.shape
-    cap = 50 * n
-    upper = np.full(n, np.inf) if upper is None else np.asarray(upper, float)
+    g = np.asarray(g, dtype=np.float64)
     basis = np.array(basis)
-    # +1 at the lower bound (and basic), -1 at the upper bound, 0 fixed.
-    dirn = (upper > 0.0).astype(np.float64)
+    xn = np.zeros(n)  # nonbasic positions, 0 or g; 0 on the basis
+    lo, hi = np.zeros(n), np.full(n, np.inf)  # the segments of basic x
+    up = np.where(g > 0.0, 1.0, -1.0)
+    down = np.full(n, -np.inf)
+    up[basis] = -np.inf  # basic x never enter
     total_it = 0
-    for _ in range(_MAX_ROUNDS):
-        at_upper = dirn < 0.0
-        B = A[:, basis]
-        rhs = b - A[:, at_upper] @ upper[at_upper]
-        T = np.empty((m + 1, n + 1))
+    for rnd in range(_MAX_ROUNDS):
         try:
-            T[:m, :n] = np.linalg.solve(B, A)
-            T[:m, n] = np.linalg.solve(B, rhs)
+            Binv = np.linalg.inv(A[:, basis])
         except np.linalg.LinAlgError:
             return None, np.inf, "numeric-failure", total_it
-        T[:m, n][np.abs(T[:m, n]) < 1e-11] = 0.0
-        cb = c[basis]
-        T[m, :n] = cb @ T[:m, :n] - c
-        T[m, n] = cb @ T[:m, n] + c[at_upper] @ upper[at_upper]
-        claimed, it = _iterate(T, basis, dirn, upper, m, n, tol, stall_limit,
-                               cap - total_it)
+        xb = Binv @ (b - A @ xn)
+        xb[np.abs(xb) < 1e-11] = 0.0
+        if rnd == 0:
+            below = xb < g[basis]
+            lo[basis] = np.where(below, 0.0, g[basis])
+            hi[basis] = np.where(below, g[basis], np.inf)
+        # Duals from the basic slopes: -1 on [0, g], +1 on [g, inf).
+        y = np.where(hi[basis] < np.inf, -1.0, 1.0) @ Binv
+        z = y @ A
+        if (np.maximum(z + up, down - z).max() <= 10 * TOL
+                and (xb - lo[basis]).min() >= -1e-9
+                and (xb - hi[basis]).max() <= 1e-9):
+            x = xn.copy()
+            x[basis] = np.clip(xb, lo[basis], hi[basis])
+            bound = float(b @ y + g @ np.minimum(1.0, -z))
+            return x, bound, "optimal", total_it
+        T = np.zeros((m + 1, n + 1))
+        T[:m, :n] = Binv @ A
+        T[:m, n] = xb
+        T[m, :n] = z
+        claimed, it = _iterate(T, basis, g, xn, lo, hi, up, down, stall_limit,
+                               50 * n - total_it)
         total_it += it
         if not claimed:
             return None, np.inf, "numeric-failure", total_it
-        at_upper = dirn < 0.0
-        B = A[:, basis]
-        rhs = b - A[:, at_upper] @ upper[at_upper]
-        try:
-            xb = np.linalg.solve(B, rhs)
-            y = np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError:
-            return None, np.inf, "numeric-failure", total_it
-        red = dirn * (y @ A - c)
-        if (red.max() <= 10 * tol and xb.min() >= -1e-9
-                and (xb - upper[basis]).max() <= 1e-9):
-            x = np.where(at_upper, upper, 0.0)
-            x[basis] = np.clip(xb, 0.0, upper[basis])
-            return x, float(c @ x), "optimal", total_it
     return None, np.inf, "numeric-failure", total_it
 
 
-def _iterate(T, basis, dirn, upper, m, n, tol, stall_limit, budget):
+def _iterate(T, basis, g, xn, lo, hi, up, down, stall_limit, budget):
     """Pivot or flip until the tableau prices out or the budget runs dry.
-    Returns (claimed_optimal, iterations); basis and dirn are updated in
-    place. T must be C-contiguous; T[:m, n] holds the basic values and
-    T[m, n] the objective."""
+    Returns (claimed_optimal, iterations); basis, xn, lo, hi, up and down
+    are updated in place. T must be C-contiguous; T[:m, :n] holds B^-1 A,
+    T[:m, n] the basic values and T[m, :n] the row z = c_B B^-1 A."""
     if not T.flags.c_contiguous:
         raise ValueError("tableau must be C-contiguous")
-    flat = T.reshape(-1)
+    m, n = T.shape[0] - 1, T.shape[1] - 1
+    flat, z, xb = T.reshape(-1), T[m, :n], T[:m, n]
     bland = False
     stall = 0
-    last_obj = T[m, n]
+    obj = last_obj = 0.0
     for it in range(max(budget, 1)):
-        r = T[m, :n] * dirn
+        r = np.maximum(z + up, down - z)
         if bland:
-            js = np.flatnonzero(r > tol)
+            js = np.flatnonzero(r > TOL)
             if js.size == 0:
                 return True, it
             j = js[0]
         else:
             j = int(np.argmax(r))
-            if r[j] <= tol:
+            if r[j] <= TOL:
                 return True, it
-        # Moving x_j by sign * theta moves the basic values by -theta * alpha:
-        # a basic value falls to 0 where alpha > 0, rises to its bound where
-        # alpha < 0.
-        sign = dirn[j]
+        sign = 1.0 if z[j] + up[j] >= down[j] - z[j] else -1.0
+        # x_j moves along [g, inf) with slope +1 if it rises from g, else
+        # along [0, g] with slope -1, whose far end it reaches after g.
+        cj, reach = (1.0, np.inf) if sign > 0 and xn[j] == g[j] else \
+            (-1.0, g[j])
+        # Moving x_j by sign * theta moves the basic values by -theta * alpha.
         alpha = sign * T[:m, j]
-        xb = T[:m, n]
         ratios = np.full(m, np.inf)
-        np.divide(xb, alpha, out=ratios, where=alpha > _PIVOT_MIN)
-        np.divide(xb - upper[basis], alpha, out=ratios,
-                  where=alpha < -_PIVOT_MIN)
+        np.divide(xb - lo[basis], alpha, out=ratios, where=alpha > _PIVOT_MIN)
+        np.divide(xb - hi[basis], alpha, out=ratios, where=alpha < -_PIVOT_MIN)
         theta = ratios.min()
-        if upper[j] <= theta:
-            if upper[j] == np.inf:
+        if reach <= theta:
+            if reach == np.inf:
                 return False, it  # unbounded direction: only reachable via drift
-            T[:, n] -= (sign * upper[j]) * T[:, j]
-            dirn[j] = -sign
+            step = reach
+            xb -= (sign * step) * T[:m, j]
+            xn[j] = g[j] - xn[j]
+            up[j], down[j] = _offsets(xn[j], g[j])
         else:
             cand = np.flatnonzero(ratios <= theta + 1e-12)
             if bland:
@@ -122,19 +135,22 @@ def _iterate(T, basis, dirn, upper, m, n, tol, stall_limit, budget):
             else:
                 p = cand[np.argmax(np.abs(alpha[cand]))]
             step, leave = ratios[p], basis[p]
-            T[:, n] -= (sign * step) * T[:, j]
-            T[p, n] = step if sign > 0 else upper[j] - step
-            dirn[leave] = 0.0 if upper[leave] == 0.0 else (
-                -1.0 if alpha[p] < 0 else 1.0)
-            dirn[j] = 1.0
+            xb -= (sign * step) * T[:m, j]
+            xb[p] = xn[j] + sign * step
+            xn[leave] = lo[leave] if alpha[p] > 0 else hi[leave]
+            up[leave], down[leave] = _offsets(xn[leave], g[leave])
+            xn[j] = 0.0
+            lo[j], hi[j] = (g[j], np.inf) if cj > 0 else (0.0, g[j])
+            up[j] = down[j] = -np.inf
             piv = T[p, :n] / T[p, j]
-            rows, cols = np.flatnonzero(T[:, j]), np.flatnonzero(piv)
+            rows, cols = np.flatnonzero(T[:m, j]), np.flatnonzero(piv)
             # The entries of np.ix_(rows, cols), addressed more cheaply.
             flat[rows[:, None] * (n + 1) + cols] -= np.outer(T[rows, j],
                                                             piv[cols])
+            z[cols] -= (z[j] - cj) * piv[cols]
             T[p, :n] = piv
             basis[p] = j
-        obj = T[m, n]
+        obj -= step * r[j]
         if obj > last_obj - 1e-12:
             stall += 1
             if stall >= stall_limit:
@@ -143,3 +159,12 @@ def _iterate(T, basis, dirn, upper, m, n, tol, stall_limit, budget):
             stall = 0
             last_obj = obj
     return False, max(budget, 1)
+
+
+def _offsets(x, g):
+    """Pricing offsets (up, down) of a nonbasic x at 0 or at g: rising from
+    0 below g gains z + 1; from g it gains z - 1 and falling gains -1 - z,
+    unless g = 0, where x cannot fall."""
+    if x < g:
+        return 1.0, -np.inf
+    return -1.0, -1.0 if g > 0 else -np.inf

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from il_lab import acceptance
+from il_lab.acceptance import random_mdp, random_target
 from il_lab.matching import LpSolution
+from il_lab.mdp import TabularMdp
+from il_lab.rng import mix64
 
 
 def _run(capsys, cid):
@@ -75,3 +78,48 @@ def test_flow_property_reports_lp_failure(monkeypatch):
     ok, note = acceptance._prop_flow_conservation()
     assert not ok
     assert "numeric-failure" in note
+
+
+def grid_min_full(mdp, g):
+    """Reference for the H=2, A=2 grid search: every combination of
+    layer-0 grid rows, and every layer-1 grid row for each state."""
+    S = mdp.num_states
+    G = acceptance._policy_grid(2)
+    K = len(G)
+    combos = np.stack(np.meshgrid(*[np.arange(K)] * S, indexing="ij"),
+                      axis=-1).reshape(-1, S)
+    c0 = np.abs(mdp.rho[:, None, None] * G[None, :, :]
+                - g[0][:, None, :]).sum(axis=2)
+    cost = sum(c0[s, combos[:, s]] for s in range(S))
+    contrib = np.einsum("s,ka,saz->skz", mdp.rho, G, mdp.transitions[0])
+    w1 = sum(contrib[s, combos[:, s], :] for s in range(S))
+    for z in range(S):
+        dev = np.abs(w1[:, z, None, None] * G[None, :, :]
+                     - g[1, z][None, None, :]).sum(axis=2)
+        cost = cost + dev.min(axis=1)
+    return float(cost.min())
+
+
+def test_grid_min_breakpoints_match_full_enumeration():
+    # Every criterion 6 instance with S <= 2, A = 2, H = 2, and the first
+    # with S = 3 (the full enumeration takes seconds there).
+    checked, s3 = 0, False
+    for i in range(200):
+        S = 1 + mix64(606, i, 0) % 3
+        A = 1 + mix64(606, i, 1) % 2
+        H = 1 + mix64(606, i, 2) % 3
+        if A != 2 or H != 2 or (S == 3 and s3):
+            continue
+        s3 |= S == 3
+        mdp = random_mdp(mix64(606, i, 3), S, A, H)
+        g = random_target(mix64(606, i, 4), S, A, H).g
+        fast, full = acceptance._grid_min(mdp, g), grid_min_full(mdp, g)
+        assert abs(fast - full) <= 1e-15, (i, fast, full)
+        checked += 1
+    assert s3 and checked > 10
+    # A layer-1 state with no mass: every grid row costs the same.
+    P = np.zeros((1, 2, 2, 2))
+    P[..., 0] = 1.0
+    mdp = TabularMdp(2, 2, 2, np.array([0.3, 0.7]), P, np.zeros((2, 2, 2)))
+    g = random_target(mix64(608), 2, 2, 2).g
+    assert acceptance._grid_min(mdp, g) == grid_min_full(mdp, g)

@@ -109,6 +109,34 @@ def test_train_re_config_from_file(tmp_path):
     policy_from_json(load_json(out))
 
 
+def test_bad_input_ends_in_a_message(tmp_path):
+    prefix = gen_instance(tmp_path)
+    data = gen_dataset(tmp_path, prefix)
+    cfg_path = tmp_path / "typo.json"
+    cfg_path.write_text(json.dumps({"frac": 0.3}))
+    train = ["train", "--learner", "re", "--instance", f"{prefix}.mdp.json",
+             "--dataset", str(data), "--out", str(tmp_path / "p.json"),
+             "--config"]
+    cases = [
+        (["gen-instance", "--family", "mm-lb", "--H", "3", "--out",
+          str(tmp_path / "x")], "gen-instance: mm-lb requires H >= 4, got 3"),
+        (["gen-dataset", "--instance", f"{prefix}.mdp.json", "--policy",
+          f"{prefix}.policy.json", "--n", "0", "--out",
+          str(tmp_path / "d.jsonl")], "gen-dataset: n must be positive"),
+        (train + ['{"frac": 0.3}'],
+         "train: unknown replay-estimation config keys: frac"),
+        (train + [str(cfg_path)],
+         "train: unknown replay-estimation config keys: frac"),
+        (train + ['{"frac1": 0.3'],
+         "train: Expecting ',' delimiter: line 1 column 14 (char 13)"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == message
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_experiment_round_trip_and_fit(tmp_path, capsys):
     cfg = {"instance": {"family": "mm-lb"}, "learner": {"id": "mm"},
            "grid": {"H": [4], "n_exp": [16, 64]},

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from il_lab import harness
+from il_lab.datasets import SplitConfig, sample_dataset
 from il_lab.harness import CSV_COLUMNS, ExperimentConfig, ResultRow, \
     conditional_gap_check, event_probe, fit_slope, load_csv, rows_to_csv, \
     run_cell, run_experiment
+from il_lab.instances import make_mm_lb
+from il_lab.learners import ReConfig, re_train
+from il_lab.mdp import policy_value
 from il_lab.rng import mix64
 
 
@@ -101,6 +105,24 @@ def test_unknown_family_and_learner_raise():
         run_cell({"family": "gridworld"}, {"id": "bc"}, 4, 8, 1)
     with pytest.raises(ValueError):
         run_cell({"family": "mm-lb"}, {"id": "dagger"}, 4, 8, 1)
+
+
+def test_re_learner_keys():
+    # frac1 reaches the split; the split and replay seeds come from the run
+    # seed, so the config may not set them; a misspelt key is an error.
+    mdp, expert = make_mm_lb(4, 64)
+    seed = mix64(3, 0, 0)
+    ds = sample_dataset(mdp, expert, 64, mix64(seed, 1))
+    learned = re_train(ds, mdp, ReConfig(SplitConfig(0.9, mix64(seed, 2)),
+                                         replay_seed=mix64(seed, 3)))
+    row = run_cell({"family": "mm-lb"}, {"id": "re", "frac1": 0.9}, 4, 64,
+                   seed)
+    assert row.gap == policy_value(mdp, expert) - policy_value(mdp, learned)
+    with pytest.raises(ValueError, match="keys: frac$"):
+        run_cell({"family": "mm-lb"}, {"id": "re", "frac": 0.9}, 4, 64, seed)
+    for key in ("split_seed", "replay_seed"):
+        with pytest.raises(ValueError, match=f"{key} are derived"):
+            run_cell({"family": "mm-lb"}, {"id": "re", key: 1}, 4, 64, seed)
 
 
 # -------------------------------------------------------------------- csv

@@ -256,6 +256,25 @@ def test_re_config_validation():
         ReConfig(oracle_override="twos")
 
 
+def test_re_config_from_dict():
+    cfg = ReConfig.from_dict({"frac1": 0.3, "split_seed": 5,
+                              "replay_mode": "mc", "n_replay": 20,
+                              "replay_seed": 6, "use_full_data": True,
+                              "tie_rule": "highest", "oracle_override": "ones",
+                              "include_current": True})
+    assert cfg == ReConfig(SplitConfig(0.3, 5), "mc", 20, 6, True, "highest",
+                           "ones", True)
+    assert ReConfig.from_dict({}) == ReConfig()
+    with pytest.raises(ValueError, match="keys: frac, seed$"):
+        ReConfig.from_dict({"frac": 0.3, "seed": 1, "n_replay": 3})
+    with pytest.raises(ValueError, match="keys: split$"):
+        ReConfig.from_dict({"split": SplitConfig(0.3, 5)})
+    with pytest.raises(ValueError, match="mapping"):
+        ReConfig.from_dict([("frac1", 0.3)])
+    with pytest.raises(ValueError, match="frac1"):
+        ReConfig.from_dict({"frac1": 1.5})
+
+
 def test_re_replays_expert_action_on_covered_states():
     # Where D1 covers a (t, s) cell, BC plays the expert action there and the
     # replay keeps that mass on expert cells.

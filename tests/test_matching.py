@@ -9,8 +9,8 @@ from il_lab.instances import geometric_reset, make_bc_lb, make_mm_lb
 from il_lab.learners import ReConfig, re_pipeline
 from il_lab.matching import MatchTarget, brute_force_match, build_match_lp, \
     crash_basis, extract_policy, solve_occupancy_match
-from il_lab.mdp import OccupancyMeasures, TabularMdp, exact_occupancy, \
-    policy_value
+from il_lab.mdp import OccupancyMeasures, TabularMdp, deterministic_policy, \
+    exact_occupancy, policy_value
 from il_lab.rng import mix64
 
 
@@ -51,43 +51,43 @@ def l1_match_reference(mdp, g):
 
 
 def test_match_lp_blocks():
-    mdp, targets = bc_lb_targets()
-    g = targets[0].g
-    Amat, b, c, upper, nd = build_match_lp(mdp, g)
-    assert nd == 8 * 16 * 2
-    assert Amat.shape == (8 * 16, 2 * nd) == (128, 512)
-    # p and q are the same flow columns of d = p + q.
-    assert np.array_equal(Amat[:, :nd], Amat[:, nd:])
-    assert np.array_equal(c, np.r_[-np.ones(nd), np.ones(nd)])
-    assert np.array_equal(upper, np.r_[g.ravel(), np.full(nd, np.inf)])
+    mdp, _ = bc_lb_targets()
+    Amat, b = build_match_lp(mdp)
+    # One column per cell, one row per flow constraint.
+    assert Amat.shape == (8 * 16, 8 * 16 * 2) == (128, 256)
     assert np.array_equal(b, np.r_[mdp.rho, np.zeros(7 * 16)])
-    # Each flow row sums the actions of its own (t, s) cell.
     for t in range(8):
         for s in range(16):
-            row = Amat[t * 16 + s, t * 32:(t + 1) * 32].reshape(16, 2)
-            assert np.array_equal(row[s], [1.0, 1.0])
+            row = Amat[t * 16 + s]
+            # Each flow row sums the actions of its own (t, s) cell ...
+            own = row[t * 32:(t + 1) * 32].reshape(16, 2)
+            assert np.array_equal(own[s], [1.0, 1.0])
+            assert not own[np.arange(16) != s].any()
+            # ... less the inflow from layer t - 1, and nothing else.
+            if t:
+                inflow = -row[(t - 1) * 32:t * 32].reshape(16, 2)
+                assert np.array_equal(inflow, mdp.transitions[t - 1, :, :, s])
+            rest = np.r_[row[:max(t - 1, 0) * 32], row[(t + 1) * 32:]]
+            assert not rest.any()
 
 
 def test_crash_basis_is_feasible():
-    mdp, targets = bc_lb_targets()
-    small = random_mdp(mix64(96), 3, 2, 4)
-    cases = [(mdp, t.g) for t in targets]
-    cases.append((small, random_target(mix64(97), 3, 2, 4).g))
-    for m, g in cases:
-        Amat, b, _, upper, nd = build_match_lp(m, g)
-        basis = crash_basis(m, g, nd)
-        assert len(basis) == len(set(basis)) == Amat.shape[0]
+    mdp, _ = bc_lb_targets()
+    for m in (mdp, random_mdp(mix64(96), 3, 2, 4), make_mm_lb(8, 1024)[0]):
+        Amat, b = build_match_lp(m)
+        basis = crash_basis(m)
+        # The action-0 cell of every (t, s), one per flow row.
+        assert basis == list(range(0, Amat.shape[1], m.num_actions))
         B = Amat[:, basis]
         assert np.linalg.matrix_rank(B) == Amat.shape[0]
-        # Every nonbasic variable at 0: the basic values lie in the bounds.
+        # Every nonbasic cell at 0: the basic values are the always-action-0
+        # occupancy, so they are nonnegative.
         xb = np.linalg.solve(B, b)
         assert xb.min() >= -1e-12
-        assert (xb - upper[basis]).max() <= 1e-12
-        # Per (t, s) the action-0 cell: p where it fits under g, else q.
-        cells = np.array(basis) % nd
-        assert np.array_equal(cells, np.arange(Amat.shape[0]) * m.num_actions)
-        fits = xb <= g.ravel()[cells]
-        assert np.array_equal(np.array(basis) < nd, fits)
+        pi0 = deterministic_policy(np.zeros((m.horizon, m.num_states),
+                                            dtype=np.int64), m.num_actions)
+        d0 = exact_occupancy(m, pi0).d.ravel()[basis]
+        assert np.abs(xb - d0).max() <= 1e-12
 
 
 def test_objective_matches_highs_on_bc_lb():

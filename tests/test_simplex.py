@@ -6,19 +6,17 @@ from scipy.optimize import linprog
 
 from il_lab.instances import geometric_reset, make_bc_lb, make_mm_lb
 from il_lab.matching import build_match_lp, crash_basis
-from il_lab.mdp import exact_occupancy
+from il_lab.mdp import deterministic_policy, exact_occupancy
 from il_lab.rng import mix64
 from il_lab.simplex import _PIVOT_MIN, TOL, _iterate, simplex
 
 
-def standard_form(A_ub, b_ub, c):
-    """min c.x s.t. A_ub x <= b_ub, x >= 0 as equalities with slacks; the
-    slack columns are a feasible basis whenever b_ub >= 0."""
+def slack_form(A_ub, b_ub):
+    """A_ub x <= b_ub, x >= 0 as equalities with slacks; the slack columns
+    are a feasible basis whenever b_ub >= 0."""
     m, n = A_ub.shape
-    A = np.hstack([A_ub, np.eye(m)])
-    cc = np.concatenate([c, np.zeros(m)])
-    basis = np.arange(n, n + m)
-    return A, b_ub.astype(np.float64), cc, basis
+    return np.hstack([A_ub, np.eye(m)]), b_ub.astype(np.float64), \
+        np.arange(n, n + m)
 
 
 def unit(seed, *shape):
@@ -26,165 +24,176 @@ def unit(seed, *shape):
     return (flat / 2.0**64).reshape(shape)
 
 
+def l1_reference(A, b, g):
+    """min sum e s.t. -e <= x - g <= e, Ax = b, x >= 0 by scipy HiGHS,
+    written from the definition."""
+    m, n = A.shape
+    eye = np.eye(n)
+    res = linprog(np.r_[np.zeros(n), np.ones(n)],
+                  A_ub=np.block([[eye, -eye], [-eye, -eye]]),
+                  b_ub=np.r_[g, -g], A_eq=np.hstack([A, np.zeros((m, n))]),
+                  b_eq=b, bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return res.fun
+
+
+def check_solution(A, b, g, out):
+    x, obj, status, _ = out
+    assert status == "optimal"
+    assert x.min() >= 0.0
+    assert np.abs(A @ x - b).max() <= 1e-8
+    # The returned objective is the dual bound; the point attains it.
+    assert abs(np.abs(x - g).sum() - obj) <= 1e-9
+    return obj
+
+
 def test_known_tiny_lp():
+    # The three parts must sum to 1 but the target sums to 1.3: the cheapest
+    # cut is 0.3, taken from the first two parts; the third stays at its g.
     A = np.array([[1.0, 1.0, 1.0]])
     b = np.array([1.0])
-    c = np.array([-1.0, -2.0, 0.0])
-    x, obj, status, _ = simplex(A, b, c, [2])
-    assert status == "optimal"
-    assert obj == pytest.approx(-2.0, abs=1e-12)
-    assert np.allclose(x, [0.0, 1.0, 0.0], atol=1e-12)
+    g = np.array([0.7, 0.6, 0.0])
+    out = simplex(A, b, g, [2])
+    assert check_solution(A, b, g, out) == pytest.approx(0.3, abs=1e-12)
+    assert out[0][2] == 0.0
 
 
 def test_degenerate_rhs():
     # A zero on the right-hand side forces degenerate pivots.
     A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 1.0]])
     b = np.array([1.0, 0.0])
-    c = np.array([-1.0, -1.0, 0.0, 0.0])
-    x, obj, status, _ = simplex(A, b, c, [2, 3])
-    assert status == "optimal"
-    assert obj == pytest.approx(-1.0, abs=1e-9)
+    g = np.array([0.8, 0.8, 0.0, 0.0])
+    obj = check_solution(A, b, g, simplex(A, b, g, [2, 3]))
+    assert obj == pytest.approx(0.6, abs=1e-12)
+    assert obj == pytest.approx(l1_reference(A, b, g), abs=1e-9)
 
 
 def test_equality_feasibility_maintained():
-    A_ub = unit(71, 6, 9)
-    b_ub = unit(72, 6) + 1.0
-    c = unit(73, 9) - 0.5
-    A, b, cc, basis = standard_form(A_ub, b_ub, c)
-    x, obj, status, _ = simplex(A, b, cc, basis)
-    assert status == "optimal"
-    assert x.min() >= -1e-9
-    assert np.abs(A @ x - b).max() <= 1e-8
+    A, b, basis = slack_form(unit(71, 6, 9), unit(72, 6) + 1.0)
+    g = unit(73, 15) * 2.0
+    check_solution(A, b, g, simplex(A, b, g, basis))
 
 
 def test_matches_reference_solver_on_random_lps():
+    # Slack bases; a quarter of the targets are 0 and a third of the rows
+    # have a zero right-hand side.
     failures = []
-    for i in range(60):
+    for i in range(80):
         m = 2 + mix64(81, i, 0) % 5
         n = 2 + mix64(81, i, 1) % 8
-        A_ub = unit(mix64(81, i, 2), m, n) - 0.2
         b_ub = unit(mix64(81, i, 3), m) + 0.5
-        c = unit(mix64(81, i, 4), n) - 0.6
-        ref = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None),
-                      method="highs")
-        A, b, cc, basis = standard_form(A_ub, b_ub, c)
-        x, obj, status, _ = simplex(A, b, cc, basis)
-        if not ref.success:
-            # Reference says unbounded/infeasible; ours must not claim a
-            # better-than-possible optimum, and unbounded shows up as failure.
-            if status == "optimal":
-                failures.append((i, "claimed optimal where reference failed"))
-            continue
+        b_ub[unit(mix64(81, i, 5), m) < 1.0 / 3.0] = 0.0
+        A, b, basis = slack_form(unit(mix64(81, i, 2), m, n) - 0.2, b_ub)
+        g = unit(mix64(81, i, 4), n + m) * 2.0
+        g[unit(mix64(81, i, 6), n + m) < 0.25] = 0.0
+        ref = l1_reference(A, b, g)
+        x, obj, status, _ = simplex(A, b, g, basis)
         if status != "optimal":
             failures.append((i, f"status {status}"))
-            continue
-        if abs(obj - ref.fun) > 1e-7 * max(1.0, abs(ref.fun)):
-            failures.append((i, f"obj {obj} vs {ref.fun}"))
+        elif abs(obj - ref) > 1e-7 * max(1.0, ref):
+            failures.append((i, f"obj {obj} vs {ref}"))
+        elif (x.min() < 0 or np.abs(A @ x - b).max() > 1e-8
+              or abs(np.abs(x - g).sum() - obj) > 1e-9):
+            failures.append((i, "solution"))
     assert not failures, failures
 
 
 def test_iteration_cap_reports_failure_not_lies():
     A = np.array([[1.0, 1.0]])
     b = np.array([1.0])
-    c = np.array([-1.0, 0.0])
-    x, obj, status, _ = simplex(A, b, c, [1], stall_limit=1)
+    g = np.array([1.0, 0.0])
+    x, obj, status, _ = simplex(A, b, g, [1], stall_limit=1)
     assert status == "optimal"
-    assert obj == pytest.approx(-1.0, abs=1e-12)
+    assert obj == pytest.approx(0.0, abs=1e-12)
+    assert np.array_equal(x, [1.0, 0.0])
 
 
-def test_bounded_matches_reference_solver_on_random_lps():
-    # Per variable: a finite bound, a zero bound (fixed at 0) or none; the
-    # slacks stay unbounded, so x = 0 with the slack basis is feasible.
-    failures = []
-    at_bound = 0
-    for i in range(80):
-        m = 2 + mix64(82, i, 0) % 5
-        n = 2 + mix64(82, i, 1) % 8
-        A_ub = unit(mix64(82, i, 2), m, n) - 0.2
-        b_ub = unit(mix64(82, i, 3), m) + 0.5
-        c = unit(mix64(82, i, 4), n) - 0.6
-        kind = np.array([mix64(82, i, 5, k) % 4 for k in range(n)])
-        ub = np.where(kind == 0, 0.0, np.where(kind == 3, np.inf,
-                                               unit(mix64(82, i, 6), n) * 2))
-        ref = linprog(c, A_ub=A_ub, b_ub=b_ub,
-                      bounds=[(0, None if u == np.inf else u) for u in ub],
-                      method="highs")
-        A, b, cc, basis = standard_form(A_ub, b_ub, c)
-        upper = np.r_[ub, np.full(m, np.inf)]
-        x, obj, status, it = simplex(A, b, cc, basis, upper)
-        if not ref.success:
-            if status == "optimal":
-                failures.append((i, "claimed optimal where reference failed"))
-            continue
-        if status != "optimal":
-            failures.append((i, f"status {status}"))
-            continue
-        if abs(obj - ref.fun) > 1e-7 * max(1.0, abs(ref.fun)):
-            failures.append((i, f"obj {obj} vs {ref.fun}"))
-        if x.min() < 0 or (x - upper).max() > 0:
-            failures.append((i, "bounds violated"))
-        if np.abs(A @ x - b).max() > 1e-8:
-            failures.append((i, "equalities violated"))
-        at_bound += np.any((x[:n] == ub) & (ub > 0))
-    assert not failures, failures
-    assert at_bound > 0
+def test_crash_that_prices_out_takes_no_iterations():
+    # Target: 1.5 times the always-action-0 occupancy d0. The action-0 crash
+    # undershoots every action-0 cell and sits at d0, the answer; it
+    # certifies before any tableau is built.
+    for mdp in (make_mm_lb(8, 1024)[0],
+                make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7)[0]):
+        H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
+        pi0 = deterministic_policy(np.zeros((H, S), dtype=np.int64), A)
+        d0 = exact_occupancy(mdp, pi0).d.ravel()
+        Amat, b = build_match_lp(mdp)
+        x, obj, status, it = simplex(Amat, b, 1.5 * d0, crash_basis(mdp))
+        assert (status, it) == ("optimal", 0)
+        assert obj == pytest.approx(0.5 * H, abs=1e-12)
+        assert np.abs(x - d0).max() <= 1e-10
 
 
-def test_upper_none_is_the_unbounded_problem():
-    A, b, c, basis = standard_form(unit(77, 5, 7), unit(78, 5) + 1.0,
-                                   unit(79, 7) - 0.5)
-    free = simplex(A, b, c, basis)
-    inf = simplex(A, b, c, basis, np.full(A.shape[1], np.inf))
-    assert free[2] == inf[2] == "optimal"
-    assert np.array_equal(free[0], inf[0]) and free[3] == inf[3]
-
-
-def dense_iterate(T, basis, dirn, upper, m, n, tol, stall_limit, budget):
-    """Reference bounded _iterate: a per-row ratio test and the full rank-1
-    update on every pivot."""
+def dense_iterate(T, basis, g, xn, lo, hi, up, down, stall_limit, budget,
+                  events):
+    """Reference breakpoint _iterate: per-variable pricing, a per-row ratio
+    test and the full rank-1 update on every pivot. Appends one (kind, bland)
+    event per iteration."""
+    m, n = T.shape[0] - 1, T.shape[1] - 1
     bland = False
     stall = 0
-    last_obj = T[m, n]
+    obj = last_obj = 0.0
     for it in range(max(budget, 1)):
-        r = T[m, :n] * dirn
-        eligible = [k for k in range(n) if r[k] > tol]
+        z = T[m, :n]
+        r = np.array([max(z[k] + up[k], down[k] - z[k]) for k in range(n)])
+        eligible = [k for k in range(n) if r[k] > TOL]
         if not eligible:
             return True, it
         j = eligible[0] if bland else int(np.argmax(r))
-        sign = dirn[j]
+        rising = z[j] + up[j] >= down[j] - z[j]
+        sign = 1.0 if rising else -1.0
+        if rising and xn[j] == g[j]:
+            cj, reach = 1.0, np.inf
+        else:
+            cj, reach = -1.0, g[j]
         theta, rows = np.inf, []
         for i in range(m):
             a = sign * T[i, j]
             if a > _PIVOT_MIN:
-                ratio = T[i, n] / a
+                ratio = (T[i, n] - lo[basis[i]]) / a
             elif a < -_PIVOT_MIN:
-                ratio = (T[i, n] - upper[basis[i]]) / a
+                ratio = (T[i, n] - hi[basis[i]]) / a
             else:
                 continue
             rows.append((ratio, i, a))
             theta = min(theta, ratio)
-        if upper[j] <= theta:
-            if upper[j] == np.inf:
+        if reach <= theta:
+            if reach == np.inf:
                 return False, it
-            T[:, n] -= (sign * upper[j]) * T[:, j]
-            dirn[j] = -sign
+            step = reach
+            T[:m, n] -= (sign * step) * T[:m, j]
+            xn[j] = g[j] if xn[j] == 0.0 else 0.0
+            if xn[j] < g[j]:
+                up[j], down[j] = 1.0, -np.inf
+            else:
+                up[j], down[j] = -1.0, -1.0
+            events.append(("flip", bland))
         else:
             cand = [(i, a) for ratio, i, a in rows if ratio <= theta + 1e-12]
             if bland:
                 p, a = min(cand, key=lambda ia: basis[ia[0]])
             else:
                 p, a = max(cand, key=lambda ia: abs(ia[1]))
-            step = T[p, n] / a if a > 0 else (T[p, n] - upper[basis[p]]) / a
-            T[:, n] -= (sign * step) * T[:, j]
-            T[p, n] = step if sign > 0 else upper[j] - step
             leave = basis[p]
-            dirn[leave] = 0.0 if upper[leave] == 0.0 else np.sign(a)
-            dirn[j] = 1.0
+            step = (T[p, n] - (lo[leave] if a > 0 else hi[leave])) / a
+            T[:m, n] -= (sign * step) * T[:m, j]
+            T[p, n] = xn[j] + sign * step
+            xn[leave] = lo[leave] if a > 0 else hi[leave]
+            if xn[leave] < g[leave]:
+                up[leave], down[leave] = 1.0, -np.inf
+            else:
+                up[leave] = -1.0
+                down[leave] = -1.0 if g[leave] > 0 else -np.inf
+            xn[j] = 0.0
+            lo[j], hi[j] = (g[j], np.inf) if cj > 0 else (0.0, g[j])
+            up[j] = down[j] = -np.inf
             piv = T[p, :n] / T[p, j]
-            T[:, :n] -= np.outer(T[:, j], piv)
+            T[:m, :n] -= np.outer(T[:m, j], piv)
+            T[m, :n] -= (T[m, j] - cj) * piv
             T[p, :n] = piv
             basis[p] = j
-        obj = T[m, n]
+            events.append(("pivot", bland))
+        obj -= step * r[j]
         if obj > last_obj - 1e-12:
             stall += 1
             if stall >= stall_limit:
@@ -203,70 +212,75 @@ class PivotLog(np.ndarray):
         super().__setitem__(key, value)
 
 
-def tableau(A, b, c, basis):
+def start(A, b, g, basis):
+    """The first round's tableau and state, built as simplex builds them."""
     m, n = A.shape
-    B = A[:, basis]
-    T = np.empty((m + 1, n + 1))
-    T[:m, :n] = np.linalg.solve(B, A)
-    T[:m, n] = np.linalg.solve(B, b)
-    T[:m, n][np.abs(T[:m, n]) < 1e-11] = 0.0
-    T[m, :n] = c[basis] @ T[:m, :n] - c
-    T[m, n] = c[basis] @ T[:m, n]
-    return T
+    Binv = np.linalg.inv(A[:, basis])
+    xb = Binv @ b
+    xb[np.abs(xb) < 1e-11] = 0.0
+    below = xb < g[basis]
+    lo, hi = np.zeros(n), np.full(n, np.inf)
+    lo[basis] = np.where(below, 0.0, g[basis])
+    hi[basis] = np.where(below, g[basis], np.inf)
+    up = np.where(g > 0.0, 1.0, -1.0)
+    up[basis] = -np.inf
+    T = np.zeros((m + 1, n + 1))
+    T[:m, :n] = Binv @ A
+    T[:m, n] = xb
+    T[m, :n] = np.where(below, -1.0, 1.0) @ Binv @ A
+    return T, [np.zeros(n), lo, hi, up, np.full(n, -np.inf)]
 
 
-def pivot_path(iterate, A, b, c, basis, upper, stall_limit):
-    m, n = A.shape
-    T = tableau(A, b, c, basis)
+def pivot_path(iterate, A, b, g, basis, stall_limit, *events):
+    T, state = start(A, b, g, basis)
     log = np.array(basis).view(PivotLog)
     log.log = []
-    dirn = (upper > 0.0).astype(np.float64)
-    claimed, it = iterate(T, log, dirn, upper, m, n, TOL, stall_limit, 50 * n)
-    return claimed, it, log.log, T, dirn
+    claimed, it = iterate(T, log, g, *state, stall_limit, 50 * A.shape[1],
+                          *events)
+    return claimed, it, log.log, T, state
+
+
+def tilted_match_lp(mdp, expert):
+    """A matching LP whose target is half the expert occupancy and half a
+    hashed tilt, so the crash is far from optimal."""
+    d = exact_occupancy(mdp, expert).d
+    tilt = np.array([mix64(98, i) for i in range(d.size)]) / 2.0**64
+    g = 0.5 * d + 0.5 * (tilt / tilt.sum()).reshape(d.shape) * mdp.horizon
+    Amat, b = build_match_lp(mdp)
+    return Amat, b, g.ravel(), crash_basis(mdp)
 
 
 def test_sparse_update_follows_the_dense_pivot_path():
-    mm_mdp, mm_expert = make_mm_lb(8, 1024)
-    bc_mdp, bc_expert = make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7)
-    lps = []
-    for mdp, expert in ((mm_mdp, mm_expert), (bc_mdp, bc_expert)):
-        d = exact_occupancy(mdp, expert).d
-        tilt = np.array([mix64(98, i) for i in range(d.size)]) / 2.0**64
-        g = 0.5 * d + 0.5 * (tilt / tilt.sum()).reshape(d.shape) * mdp.horizon
-        Amat, b, c, upper, nd = build_match_lp(mdp, g)
-        lps.append((Amat, b, c, crash_basis(mdp, g, nd), upper))
-    A, b, c, basis = standard_form(unit(74, 6, 9), unit(75, 6) + 1.0,
-                                   unit(76, 9) - 0.5)
-    lps.append((A, b, c, basis, np.full(A.shape[1], np.inf)))
+    lps = [tilted_match_lp(*make_mm_lb(8, 1024)),
+           tilted_match_lp(*make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7))]
     # A zero right-hand side and a one-pivot stall limit force Bland's rule.
     lps.append((np.array([[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 1.0]]),
-                np.array([1.0, 0.0]), np.array([-1.0, -1.0, 0.0, 0.0]),
-                [2, 3], np.full(4, np.inf)))
-    # Degenerate rows and bounds, some of them zero: with a one-pivot stall
-    # limit Bland's rule takes over and still flips a bound.
-    A, b, c, basis = standard_form(
-        unit(mix64(118, 0), 6, 9) - 0.3,
-        np.where(unit(mix64(118, 1), 6) < 0.5, 0.0, 1.0),
-        unit(mix64(118, 2), 9) - 0.6)
-    upper = np.r_[np.where(unit(mix64(118, 3), 9) < 0.3, 0.0, 0.5),
-                  np.full(6, np.inf)]
-    lps.append((A, b, c, basis, upper))
+                np.array([1.0, 0.0]), np.array([0.8, 0.8, 0.0, 0.0]), [2, 3]))
+    # Degenerate rows and small targets, some of them zero: with a one-pivot
+    # stall limit Bland's rule takes over and still flips.
+    A, b, basis = slack_form(
+        unit(mix64(104, 0), 6, 9) - 0.3,
+        np.where(unit(mix64(104, 1), 6) < 0.5, 0.0, 1.0))
+    g = np.where(unit(mix64(104, 3), 15) < 0.3, 0.0, 0.2)
+    lps.append((A, b, g, basis))
     paths = {}
-    for k, (A, b, c, basis, upper) in enumerate(lps):
+    for k, (A, b, g, basis) in enumerate(lps):
         for stall_limit in (200, 1):
-            sparse = pivot_path(_iterate, A, b, c, basis, upper, stall_limit)
-            dense = pivot_path(dense_iterate, A, b, c, basis, upper,
-                               stall_limit)
+            events = []
+            sparse = pivot_path(_iterate, A, b, g, basis, stall_limit)
+            dense = pivot_path(dense_iterate, A, b, g, basis, stall_limit,
+                               events)
             assert sparse[0] and dense[0], k
-            assert sparse[1] == dense[1], (k, stall_limit)
+            assert sparse[1] == dense[1] == len(events), (k, stall_limit)
             assert sparse[2] == dense[2], (k, stall_limit)
             assert len(sparse[2]) > 0
             # Equal up to the sign of zeros, so bit for bit otherwise.
             assert np.array_equal(sparse[3], dense[3]), (k, stall_limit)
-            assert np.array_equal(sparse[4], dense[4]), (k, stall_limit)
-            paths[k, stall_limit] = sparse[1], sparse[2]
-    # Iterations that changed no basis column were bound flips.
+            for got, want in zip(sparse[4], dense[4]):
+                assert np.array_equal(got, want), (k, stall_limit)
+            paths[k, stall_limit] = sparse[2], events
+    # Both matching LPs flip: iterations that changed no basis column.
     for k in (0, 1):
-        assert paths[k, 200][0] > len(paths[k, 200][1]), k
-    assert paths[4, 1][0] > len(paths[4, 1][1])
-    assert paths[4, 1] != paths[4, 200]  # Bland's rule took over
+        assert ("flip", False) in paths[k, 200][1], k
+    assert ("flip", True) in paths[3, 1][1]  # a flip under Bland's rule
+    assert paths[3, 1][0] != paths[3, 200][0]  # Bland's rule took over
