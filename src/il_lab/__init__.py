@@ -9,7 +9,7 @@ from .harness import ExperimentConfig, ResultRow, conditional_gap_check, \
     event_probe, fit_slope, load_csv, rows_to_csv, run_cell, run_experiment
 from .instances import MixtureSampler, geometric_reset, make_bc_lb, \
     make_fan, make_mm_lb, make_two_state_uniform, perturb_policy
-from .learners import MembershipOracle, ReConfig, ReplayMeasures, bc_train, \
+from .learners import MembershipOracle, ReConfig, bc_train, \
     complement_exact, hybrid_estimate, membership_tabular, mm_train, \
     prefix_weight, re_pipeline, re_train, replay_exact, replay_mc
 from .matching import LpSolution, MatchTarget, brute_force_match, \

@@ -301,11 +301,11 @@ def criterion_7():
     d1, _ = split(ds, SplitConfig(0.5, mix64(707, 2)))
     oracle = membership_tabular(d1, S, H)
     bc = bc_train(d1, S, A, H)
-    exact_rep = replay_exact(mdp, bc, oracle).measures.d
+    exact_rep = replay_exact(mdp, bc, oracle).d
     a_ok, a_worst = True, -np.inf
     for n_replay in (100, 1000, 10_000):
         mc = replay_mc(mdp, bc, oracle, n_replay, mix64(707, 9, n_replay))
-        dev = np.abs(mc.measures.d - exact_rep)
+        dev = np.abs(mc.d - exact_rep)
         bound = 3.0 * np.sqrt(exact_rep * (1 - exact_rep) / n_replay) + 1e-6
         a_ok &= bool((dev <= bound).all())
         a_worst = max(a_worst, float((dev - bound).max()))
@@ -318,7 +318,7 @@ def criterion_7():
                   - policy_value(mdp, pipe1["bc"]))
     ones_ok = (dj_ones <= 1e-9
                and np.array_equal(pipe1["target"].g,
-                                  pipe1["replay"].measures.d))
+                                  pipe1["replay"].d))
 
     cfg_zeros = ReConfig(split=SplitConfig(0.5, mix64(711, 2)),
                          oracle_override="zeros")
@@ -331,7 +331,7 @@ def criterion_7():
     start1_ok = (d2.states[:, 0] == 1).mean() >= 1.0 / math.sqrt(256)
     emp2 = empirical_occupancy(d2, S, A).d
     t0_cell_ok = np.array_equal(pipe0["target"].g[0],
-                                pipe0["replay"].measures.d[0])
+                                pipe0["replay"].d[0])
     rest_ok = float(np.abs(pipe0["target"].g[1:] - emp2[1:]).max()) <= 1e-12
     dj_zeros = abs(policy_value(mdp, pipe0["policy"])
                    - policy_value(mdp, mm_train(d2, mdp)))
@@ -348,7 +348,7 @@ def criterion_7():
                 orc = MembershipOracle(_unit_grid(mix64(709, j, 2),
                                                   m.horizon, m.num_states))
             for flag in (False, True):
-                total = (replay_exact(m, pol, orc, flag).measures.d
+                total = (replay_exact(m, pol, orc, flag).d
                          + complement_exact(m, pol, orc, flag))
                 gap = float(np.abs(total - exact_occupancy(m, pol).d).max())
                 c_worst = max(c_worst, gap)
@@ -487,8 +487,8 @@ def _prop_bit_reproducible():
     ok &= all(np.array_equal(x.states, y.states) for x, y in zip(s1, s2))
     orc = membership_tabular(s1[0], mdp.num_states, mdp.horizon)
     bc = bc_train(s1[0], mdp.num_states, mdp.num_actions, mdp.horizon)
-    m1 = replay_mc(mdp, bc, orc, 500, 917).measures.d
-    m2 = replay_mc(mdp, bc, orc, 500, 917).measures.d
+    m1 = replay_mc(mdp, bc, orc, 500, 917).d
+    m2 = replay_mc(mdp, bc, orc, 500, 917).d
     ok &= np.array_equal(m1, m2)
     p1 = re_train(ds1, mdp, ReConfig(split=SplitConfig(0.5, 916)))
     p2 = re_train(ds2, mdp, ReConfig(split=SplitConfig(0.5, 916)))

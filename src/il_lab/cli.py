@@ -1,5 +1,8 @@
 """Command-line front end: instance/dataset generation, training, grid
-experiments, event probes, slope fits, and the acceptance suite."""
+experiments, event probes, slope fits, and the acceptance suite. Instances
+and learners go through harness.make_instance and harness.train, the same
+functions an experiment uses, so the defaults and the checks on config keys
+are the experiment's."""
 
 import argparse
 import json
@@ -9,8 +12,7 @@ from . import acceptance
 from .datasets import check_dataset, load_dataset, sample_dataset, \
     save_dataset
 from .harness import ExperimentConfig, event_probe, fit_slope, load_csv, \
-    make_instance, rows_to_csv, run_experiment
-from .learners import ReConfig, bc_train, mm_train, re_train
+    make_instance, rows_to_csv, run_experiment, train
 from .mdp import load_json, mdp_from_json, mdp_to_json, policy_from_json, \
     policy_to_json, policy_value, save_json
 
@@ -40,26 +42,23 @@ def _cmd_gen_dataset(args):
     return 0
 
 
-def _re_config(spec_text):
+def _learner_options(spec_text):
     if not spec_text:
-        return ReConfig()
+        return {}
     if spec_text.strip().startswith("{"):
         doc = json.loads(spec_text)
     else:
         doc = load_json(spec_text)
-    return ReConfig.from_dict(doc)
+    if not isinstance(doc, dict):
+        raise ValueError("--config must hold a JSON object")
+    return doc
 
 
 def _cmd_train(args):
     mdp = mdp_from_json(load_json(args.instance))
     ds = load_dataset(args.dataset)
     check_dataset(ds, mdp)
-    if args.learner == "bc":
-        pol = bc_train(ds, mdp.num_states, mdp.num_actions, mdp.horizon)
-    elif args.learner == "mm":
-        pol = mm_train(ds, mdp)
-    else:
-        pol = re_train(ds, mdp, _re_config(args.config))
+    pol = train(args.learner, _learner_options(args.config), ds, mdp)
     save_json(policy_to_json(pol), args.out)
     print(f"wrote {args.out}; J(policy) = {policy_value(mdp, pol):.6f}")
     return 0
@@ -120,11 +119,11 @@ def build_parser():
     g.add_argument("--n-exp", type=int, default=100,
                    help="dataset size the instance is tuned against")
     g.add_argument("--states", type=int, default=None)
-    g.add_argument("--actions", type=int, default=2)
+    g.add_argument("--actions", type=int, default=None)
     g.add_argument("--reset", choices=["uniform", "geometric"], default=None)
-    g.add_argument("--ratio", type=float, default=0.5)
-    g.add_argument("--construction-seed", type=int, default=0)
-    g.add_argument("--mixture-seed", type=int, default=0)
+    g.add_argument("--ratio", type=float, default=None)
+    g.add_argument("--construction-seed", type=int, default=None)
+    g.add_argument("--mixture-seed", type=int, default=None)
     g.add_argument("--draw", type=int, default=0,
                    help="draw index for the mixture family")
     g.add_argument("--out", required=True, help="output path prefix")
@@ -143,7 +142,7 @@ def build_parser():
     t.add_argument("--instance", required=True)
     t.add_argument("--dataset", required=True)
     t.add_argument("--config", default=None,
-                   help="replay-estimation config: JSON literal or file path")
+                   help="learner config: JSON literal or file path")
     t.add_argument("--out", required=True)
     t.set_defaults(func=_cmd_train)
 
@@ -176,12 +175,13 @@ def build_parser():
 
 
 def main(argv=None):
-    """Runs one command; a ValueError it raises (bad input) ends the run with
-    "<command>: <message>" instead of a traceback."""
+    """Runs one command; a ValueError (bad input) or an OSError (say, a
+    missing file) it raises ends the run with "<command>: <message>" instead
+    of a traceback."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise SystemExit(f"{args.command}: {exc}") from None
 
 

@@ -1,6 +1,7 @@
-"""Expert-demonstration datasets: seeded sampling, empirical occupancies,
-deterministic splitting, missing-mass accounting, and JSONL serialization.
-Datasets record state-action pairs only; rewards are never observed."""
+"""Expert-demonstration datasets: seeded sampling, empirical occupancies
+and the per-(t, s, a) sums behind them (cell_sums), deterministic
+splitting, missing-mass accounting, and JSONL serialization. Datasets
+record state-action pairs only; rewards are never observed."""
 
 import json
 from dataclasses import dataclass
@@ -76,11 +77,19 @@ def empirical_occupancy(dataset, S, A):
         raise ValueError("empty dataset")
     if dataset.states.max() >= S or dataset.actions.max() >= A:
         raise ValueError("dataset indices exceed (S,A)")
-    H = dataset.horizon
-    t_idx = np.broadcast_to(np.arange(H), dataset.states.shape)
-    flat = (t_idx * S + dataset.states) * A + dataset.actions
-    counts = np.bincount(flat.ravel(), minlength=H * S * A).astype(np.float64)
-    return OccupancyMeasures(counts.reshape(H, S, A) / dataset.n, "empirical")
+    counts = cell_sums(dataset.states, dataset.actions, S, A)
+    return OccupancyMeasures(counts / dataset.n, "empirical")
+
+
+def cell_sums(states, actions, S, A, weights=None):
+    """(H,S,A) sums over the steps of (n,H) states/actions that fall in each
+    (t, s, a) cell: step counts, or the sums of an (n,H) weights array. One
+    bincount over the flat (t, s, a) index."""
+    H = states.shape[1]
+    flat = (np.arange(H) * S + states) * A + actions
+    return np.bincount(flat.ravel(),
+                       None if weights is None else np.ravel(weights),
+                       H * S * A).reshape(H, S, A)
 
 
 def check_dataset(dataset, mdp):

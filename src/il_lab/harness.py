@@ -2,13 +2,17 @@
 moment-matching lower-bound construction, log-log slope fits, and CSV
 emission. Gaps are always exact DP values J(expert) - J(learned); rollout
 noise never enters a reported gap. Per-run seed = hash(base, cell, seed_idx),
-so runs are order-independent and mixtures pair with single-instance runs."""
+so runs are order-independent and mixtures pair with single-instance runs.
+
+make_instance and train are the only places that read instance and learner
+configs: every default lives there, and a key nothing reads is an error.
+The CLI goes through the same two functions."""
 
 import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -20,10 +24,11 @@ from .learners import ReConfig, bc_train, mm_train, re_train
 from .mdp import policy_value, rollout_batch
 from .rng import mix64
 
-CSV_COLUMNS = ["instance", "learner", "H", "S", "A", "n_exp", "seed", "gap",
-               "status", "component", "wall_time_ms"]
-
 DEFAULT_E3_COEFF = 0.5
+# Datasets rolled out per batch by the event probes, and the conditional
+# gap check's tolerance.
+_EVENT_CHUNK = 1000
+_GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,13 +50,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(instance=doc["instance"], learner=doc["learner"],
-                   grid=doc["grid"], seeds=doc["seeds"],
-                   output=doc.get("output", ""))
+        """The config of a JSON object with exactly the field names as keys
+        (output optional); a missing or unknown key raises ValueError."""
+        try:
+            return cls(**doc)
+        except TypeError as exc:
+            raise ValueError(f"experiment config: {exc}") from None
 
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One CSV row; the fields, in order, are the CSV columns."""
+
     instance: str
     learner: str
     H: int
@@ -65,7 +75,16 @@ class ResultRow:
     wall_time_ms: float = 0.0
 
 
-def _reset_dist(kind, num_states, ratio):
+CSV_COLUMNS = [f.name for f in fields(ResultRow)]
+
+
+def _reject_unread(cfg, what):
+    if cfg:
+        raise ValueError(f"unknown {what} keys: " + ", ".join(sorted(cfg)))
+
+
+def _reset_dist(cfg, num_states):
+    kind, ratio = cfg.pop("reset", None), cfg.pop("ratio", 0.5)
     if kind in (None, "uniform"):
         return None
     if kind == "geometric":
@@ -74,73 +93,83 @@ def _reset_dist(kind, num_states, ratio):
 
 
 def make_instance(inst_cfg, H, n_exp, draw_index):
-    """Resolve one grid cell to (component_tag, mdp, expert)."""
-    family = inst_cfg["family"]
+    """Resolve one grid cell to (component_tag, mdp, expert). Each key is
+    taken out of a copy of inst_cfg as it is read; one left over raises
+    ValueError naming it."""
+    cfg = dict(inst_cfg)
+    family = cfg.pop("family", None)
     if family == "mm-lb":
-        mdp, expert = make_mm_lb(H, n_exp)
-        return family, mdp, expert
-    if family == "bc-lb":
-        S = inst_cfg.get("states", 20)
-        reset = _reset_dist(inst_cfg.get("reset"), S, inst_cfg.get("ratio", 0.5))
-        mdp, expert = make_bc_lb(S, H, inst_cfg.get("actions", 2), reset,
-                                 inst_cfg.get("construction_seed", 0))
-        return family, mdp, expert
-    if family == "two-state":
-        mdp, expert = make_two_state_uniform(H)
-        return family, mdp, expert
-    if family == "fan":
-        mdp, expert = make_fan(inst_cfg.get("states", 4), H)
-        return family, mdp, expert
-    if family == "mixture":
-        S = inst_cfg.get("states", 16)
+        out = (family, *make_mm_lb(H, n_exp))
+    elif family == "bc-lb":
+        S = cfg.pop("states", 20)
+        out = (family, *make_bc_lb(S, H, cfg.pop("actions", 2),
+                                   _reset_dist(cfg, S),
+                                   cfg.pop("construction_seed", 0)))
+    elif family == "two-state":
+        out = (family, *make_two_state_uniform(H))
+    elif family == "fan":
+        out = (family, *make_fan(cfg.pop("states", 4), H))
+    elif family == "mixture":
+        S = cfg.pop("states", 16)
         sampler = MixtureSampler(
-            inst_cfg.get("mixture_seed", 0),
+            cfg.pop("mixture_seed", 0),
             mm_horizon=H, bc_states=S, bc_horizon=H,
-            bc_actions=inst_cfg.get("actions", 2),
-            bc_reset=_reset_dist(inst_cfg.get("reset"), S,
-                                 inst_cfg.get("ratio", 0.5)),
-            bc_seed=inst_cfg.get("construction_seed", 7))
-        return sampler.draw(draw_index, n_exp)
-    raise ValueError(f"unknown instance family {family!r}")
+            bc_actions=cfg.pop("actions", 2), bc_reset=_reset_dist(cfg, S),
+            bc_seed=cfg.pop("construction_seed", 7))
+        out = sampler.draw(draw_index, n_exp)
+    else:
+        raise ValueError(f"unknown instance family {family!r}")
+    _reject_unread(cfg, f"{family} instance")
+    return out
 
 
-def _train(learner_cfg, dataset, mdp, run_seed):
-    lid = learner_cfg["id"]
-    S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
-    if lid == "bc":
-        return bc_train(dataset, S, A, H, learner_cfg.get("tie_rule", "lowest"))
-    if lid == "mm":
+def train(learner, options, dataset, mdp):
+    """The learner dispatch: bc reads tie_rule, mm reads nothing, re reads
+    a ReConfig mapping (ReConfig.from_dict). A key the learner does not
+    read raises ValueError naming it."""
+    opts = dict(options)
+    if learner == "bc":
+        tie_rule = opts.pop("tie_rule", "lowest")
+        _reject_unread(opts, "bc config")
+        return bc_train(dataset, mdp.num_states, mdp.num_actions,
+                        mdp.horizon, tie_rule)
+    if learner == "mm":
+        _reject_unread(opts, "mm config")
         return mm_train(dataset, mdp)
-    if lid == "re":
-        opts = {k: v for k, v in learner_cfg.items() if k != "id"}
-        derived = sorted({"split_seed", "replay_seed"} & set(opts))
-        if derived:
-            raise ValueError(f"learner keys {', '.join(derived)} are derived "
-                             "from the run seed")
-        cfg = ReConfig.from_dict({**opts, "split_seed": mix64(run_seed, 2),
-                                  "replay_seed": mix64(run_seed, 3)})
-        return re_train(dataset, mdp, cfg)
-    raise ValueError(f"unknown learner {lid!r}")
+    if learner == "re":
+        return re_train(dataset, mdp, ReConfig.from_dict(opts))
+    raise ValueError(f"unknown learner {learner!r}")
 
 
 def run_cell(instance_cfg, learner_cfg, H, n_exp, run_seed, seed_index=0,
              draw_index=0):
     """One measurement. Dataset seed is hash(run_seed, 1), so the same
-    run_seed yields the same dataset for every learner (paired designs)."""
+    run_seed yields the same dataset for every learner (paired designs).
+    The re learner's split and replay seeds are hash(run_seed, 2) and
+    hash(run_seed, 3); the config may not set them."""
     component, mdp, expert = make_instance(instance_cfg, H, n_exp, draw_index)
     dataset = sample_dataset(mdp, expert, n_exp, mix64(run_seed, 1),
                              instance_id=component, policy_id="expert")
+    lid = learner_cfg.get("id")
+    opts = {k: v for k, v in learner_cfg.items() if k != "id"}
+    if lid == "re":
+        derived = sorted({"split_seed", "replay_seed"} & set(opts))
+        if derived:
+            raise ValueError(f"learner keys {', '.join(derived)} are derived "
+                             "from the run seed")
+        opts.update(split_seed=mix64(run_seed, 2),
+                    replay_seed=mix64(run_seed, 3))
     t0 = time.perf_counter()
     try:
-        learned = _train(learner_cfg, dataset, mdp, run_seed)
+        learned = train(lid, opts, dataset, mdp)
         gap = policy_value(mdp, expert) - policy_value(mdp, learned)
         status = "ok"
     except RuntimeError:
         gap, status = float("nan"), "numeric-failure"
     ms = (time.perf_counter() - t0) * 1e3
-    return ResultRow(instance_cfg["family"], learner_cfg["id"], H,
-                     mdp.num_states, mdp.num_actions, n_exp, seed_index, gap,
-                     status, component, ms)
+    return ResultRow(instance_cfg["family"], lid, H, mdp.num_states,
+                     mdp.num_actions, n_exp, seed_index, gap, status,
+                     component, ms)
 
 
 def run_experiment(cfg):
@@ -159,14 +188,14 @@ def run_experiment(cfg):
 
 
 def rows_to_csv(rows, path=None):
-    """CSV with the fixed column set; bit-stable except wall_time_ms."""
+    """CSV with one column per ResultRow field; bit-stable except the
+    *_ms timings, which are written to 3 decimals."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
     for r in rows:
-        w.writerow([r.instance, r.learner, r.H, r.S, r.A, r.n_exp, r.seed,
-                    repr(r.gap), r.status, r.component,
-                    f"{r.wall_time_ms:.3f}"])
+        w.writerow([f"{v:.3f}" if k.endswith("_ms") else v
+                    for k, v in vars(r).items()])
     text = buf.getvalue()
     if path:
         with open(path, "w") as fh:
@@ -176,16 +205,9 @@ def rows_to_csv(rows, path=None):
 
 def load_csv(path):
     with open(path) as fh:
-        rdr = csv.DictReader(fh)
-        rows = []
-        for rec in rdr:
-            rows.append(ResultRow(rec["instance"], rec["learner"],
-                                  int(rec["H"]), int(rec["S"]), int(rec["A"]),
-                                  int(rec["n_exp"]), int(rec["seed"]),
-                                  float(rec["gap"]), rec["status"],
-                                  rec["component"],
-                                  float(rec["wall_time_ms"])))
-    return rows
+        return [ResultRow(**{f.name: f.type(rec[f.name])
+                             for f in fields(ResultRow)})
+                for rec in csv.DictReader(fh)]
 
 
 # ------------------------------------------------------------- event probe
@@ -208,19 +230,28 @@ def _dataset_events(states, n_exp, coeff):
     return e1, e2, e3
 
 
-def event_probe(n_exp, H, n_datasets, seed, coeff=DEFAULT_E3_COEFF,
-                chunk=1000):
+def _event_draws(mdp, expert, n_exp, n_datasets, seed, coeff):
+    """n_datasets expert datasets of size n_exp on the mm-lb instance mdp,
+    rolled out _EVENT_CHUNK at a time; yields (states, actions, e1, e2, e3)
+    per batch, states and actions shaped (k, n_exp, H)."""
+    H = mdp.horizon
+    for lo in range(0, n_datasets, _EVENT_CHUNK):
+        k = min(_EVENT_CHUNK, n_datasets - lo)
+        states, actions = rollout_batch(mdp, expert, k * n_exp, mix64(seed, lo))
+        states = states.reshape(k, n_exp, H)
+        yield (states, actions.reshape(k, n_exp, H),
+               *_dataset_events(states, n_exp, coeff))
+
+
+def event_probe(n_exp, H, n_datasets, seed, coeff=DEFAULT_E3_COEFF):
     """Empirical frequencies of E1, E2, E3 and their intersection over
     n_datasets independent mm-lb expert datasets of size n_exp."""
     if n_datasets < 100:
         raise ValueError("need at least 100 datasets")
     mdp, expert = make_mm_lb(H, n_exp)
     hits = np.zeros(4, dtype=np.int64)
-    for lo in range(0, n_datasets, chunk):
-        k = min(chunk, n_datasets - lo)
-        states, _ = rollout_batch(mdp, expert, k * n_exp, mix64(seed, lo))
-        states = states.reshape(k, n_exp, H)
-        e1, e2, e3 = _dataset_events(states, n_exp, coeff)
+    for _, _, e1, e2, e3 in _event_draws(mdp, expert, n_exp, n_datasets,
+                                         seed, coeff):
         hits += [e1.sum(), e2.sum(), e3.sum(), (e1 & e2 & e3).sum()]
     freq = hits / n_datasets
     return {"n_datasets": n_datasets, "coeff": coeff,
@@ -229,11 +260,11 @@ def event_probe(n_exp, H, n_datasets, seed, coeff=DEFAULT_E3_COEFF,
             "count_all": int(hits[3])}
 
 
-def conditional_gap_check(n_exp, H, n_datasets, seed, coeff=DEFAULT_E3_COEFF,
-                          tol=1e-9, chunk=1000):
+def conditional_gap_check(n_exp, H, n_datasets, seed, coeff=DEFAULT_E3_COEFF):
     """On every dataset draw satisfying E1, E2, E3 the moment-matching gap
-    must equal (H-1)/(2 sqrt(n_exp)) within tol. Reports "inconclusive" when
-    no draw conditions, and "configuration-error" on invalid parameters."""
+    must equal (H-1)/(2 sqrt(n_exp)) within _GAP_TOL. Reports
+    "inconclusive" when no draw conditions, and "configuration-error" on
+    invalid parameters."""
     try:
         mdp, expert = make_mm_lb(H, n_exp)
     except ValueError as err:
@@ -241,12 +272,8 @@ def conditional_gap_check(n_exp, H, n_datasets, seed, coeff=DEFAULT_E3_COEFF,
     expected = (H - 1) / (2.0 * math.sqrt(n_exp))
     je = policy_value(mdp, expert)
     checked, max_err = 0, 0.0
-    for lo in range(0, n_datasets, chunk):
-        k = min(chunk, n_datasets - lo)
-        states, actions = rollout_batch(mdp, expert, k * n_exp, mix64(seed, lo))
-        states = states.reshape(k, n_exp, H)
-        actions = actions.reshape(k, n_exp, H)
-        e1, e2, e3 = _dataset_events(states, n_exp, coeff)
+    for states, actions, e1, e2, e3 in _event_draws(mdp, expert, n_exp,
+                                                    n_datasets, seed, coeff):
         for i in np.flatnonzero(e1 & e2 & e3):
             ds = Dataset(states[i], actions[i])
             gap = je - policy_value(mdp, mm_train(ds, mdp))
@@ -255,7 +282,7 @@ def conditional_gap_check(n_exp, H, n_datasets, seed, coeff=DEFAULT_E3_COEFF,
     if checked == 0:
         return {"status": "inconclusive", "conditioning": 0, "checked": 0,
                 "expected_gap": expected, "max_abs_err": 0.0}
-    status = "pass" if max_err <= tol else "fail"
+    status = "pass" if max_err <= _GAP_TOL else "fail"
     return {"status": status, "conditioning": checked, "checked": checked,
             "expected_gap": expected, "max_abs_err": max_err}
 

@@ -11,7 +11,7 @@ State/action index conventions:
 
 import numpy as np
 
-from .mdp import MarkovPolicy, TabularMdp
+from .mdp import MarkovPolicy, TabularMdp, deterministic_policy
 from .rng import mix64
 
 
@@ -36,9 +36,7 @@ def make_mm_lb(H, n_exp):
     r = np.zeros((H, S, A))
     r[1:, 0, :] = 1.0
     mdp = TabularMdp(H, S, A, rho, P, r)
-    expert = np.zeros((H, S, A))
-    expert[:, :, 0] = 1.0
-    return mdp, MarkovPolicy(expert)
+    return mdp, deterministic_policy(np.zeros((H, S), dtype=np.int64), A)
 
 
 def geometric_reset(n_good, ratio=0.5):
@@ -77,10 +75,7 @@ def make_bc_lb(num_states, H, num_actions=2, reset_dist=None, seed=0):
             P[:, s, good_action[s], :n_good] = reset_dist
     r[:, np.arange(n_good), good_action[:]] = 1.0
     mdp = TabularMdp(H, S, A, rho, P, r)
-    expert = np.zeros((H, S, A))
-    expert[:, np.arange(n_good), good_action[:]] = 1.0
-    expert[:, S - 1, 0] = 1.0
-    return mdp, MarkovPolicy(expert)
+    return mdp, deterministic_policy(np.tile(np.r_[good_action, 0], (H, 1)), A)
 
 
 def make_two_state_uniform(H):
@@ -97,9 +92,7 @@ def make_two_state_uniform(H):
     r = np.zeros((H, S, A))
     r[1:, 0, :] = 1.0
     mdp = TabularMdp(H, S, A, rho, P, r)
-    expert = np.zeros((H, S, A))
-    expert[:, :, 0] = 1.0
-    return mdp, MarkovPolicy(expert)
+    return mdp, deterministic_policy(np.zeros((H, S), dtype=np.int64), A)
 
 
 def make_fan(n, H):
@@ -119,9 +112,7 @@ def make_fan(n, H):
     r = np.zeros((H, S, A))
     r[:, :n, 0] = 1.0
     mdp = TabularMdp(H, S, A, rho, P, r)
-    expert = np.zeros((H, S, A))
-    expert[:, :, 0] = 1.0
-    return mdp, MarkovPolicy(expert)
+    return mdp, deterministic_policy(np.zeros((H, S), dtype=np.int64), A)
 
 
 class MixtureSampler:

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .datasets import SplitConfig, empirical_occupancy, split, visited_table
+from .datasets import SplitConfig, cell_sums, empirical_occupancy, split, \
+    visited_table
 from .matching import MatchTarget, extract_policy, solve_occupancy_match
 from .mdp import MarkovPolicy, OccupancyMeasures, exact_occupancy, rollout_batch
 
@@ -38,17 +39,6 @@ class MembershipOracle:
     @classmethod
     def zeros(cls, H, S):
         return cls(np.zeros((H, S)))
-
-
-@dataclass(frozen=True, eq=False)
-class ReplayMeasures:
-    """Prefix-weighted occupancies of the replayed policy; layer t sums to
-    E[prefix weight at t] <= 1. mode is "exact" or "monte-carlo"."""
-
-    measures: OccupancyMeasures
-    mode: str
-    n_replay: int = 0
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -101,9 +91,7 @@ def bc_train(dataset, S, A, H, tie_rule="lowest"):
         raise ValueError("empty dataset")
     if tie_rule not in ("lowest", "uniform"):
         raise ValueError("tie_rule must be 'lowest' or 'uniform'")
-    t_idx = np.broadcast_to(np.arange(H), dataset.states.shape)
-    flat = (t_idx * S + dataset.states) * A + dataset.actions
-    counts = np.bincount(flat.ravel(), minlength=H * S * A).reshape(H, S, A)
+    counts = cell_sums(dataset.states, dataset.actions, S, A)
     probs = np.empty((H, S, A))
     seen = counts.sum(axis=2) > 0
     if tie_rule == "lowest":
@@ -128,10 +116,16 @@ def mm_train(data, mdp):
     else:
         target = MatchTarget(
             empirical_occupancy(data, mdp.num_states, mdp.num_actions).d)
+    return _match(mdp, target)[1]
+
+
+def _match(mdp, target):
+    """(solution, policy) of the L1 occupancy match to target; raises on
+    solver numeric-failure."""
     sol = solve_occupancy_match(mdp, target)
     if sol.status != "optimal":
         raise RuntimeError(f"occupancy match failed: {sol.status}")
-    return extract_policy(sol.occupancies, mdp)
+    return sol, extract_policy(sol.occupancies, mdp)
 
 
 def membership_tabular(d1, S, H):
@@ -165,7 +159,9 @@ def _prefix_weights_batch(oracle, states, include_current):
 
 def replay_exact(mdp, bc_policy, oracle, include_current=False):
     """Closed-form replay: w_{t+1}(s') = sum_{s,a} w_t(s) m_t(s) pi_t(a|s)
-    P_t(s'|s,a) with w_0 = rho, and layer t measures w_t(s) pi_t(a|s)."""
+    P_t(s'|s,a) with w_0 = rho, and layer t measures w_t(s) pi_t(a|s).
+    Returns "weighted" OccupancyMeasures: layer t sums to E[prefix weight
+    at t] <= 1."""
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
     d = np.empty((H, S, A))
     w = mdp.rho.copy()
@@ -175,23 +171,20 @@ def replay_exact(mdp, bc_policy, oracle, include_current=False):
         if t + 1 < H:
             w = np.einsum("s,sa,saz->z", w * oracle.m[t], bc_policy.probs[t],
                           mdp.transitions[t])
-    return ReplayMeasures(OccupancyMeasures(d, "weighted"), "exact")
+    return OccupancyMeasures(d, "weighted")
 
 
 def replay_mc(mdp, bc_policy, oracle, n_replay, seed, include_current=False):
     """Monte Carlo replay: n_replay seeded rollouts of the BC policy, each
     step counted with its prefix weight; contributions stop once the weight
-    hits exactly 0. Deterministic given seed."""
+    hits exactly 0. Deterministic given seed; "weighted" OccupancyMeasures
+    as replay_exact returns."""
     if n_replay < 1:
         raise ValueError("n_replay must be positive")
-    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
     states, actions = rollout_batch(mdp, bc_policy, n_replay, seed)
     weights = _prefix_weights_batch(oracle, states, include_current)
-    d = np.zeros((H, S, A))
-    t_idx = np.broadcast_to(np.arange(H), states.shape)
-    np.add.at(d, (t_idx, states, actions), weights)
-    occ = OccupancyMeasures(d / n_replay, "weighted")
-    return ReplayMeasures(occ, "monte-carlo", n_replay=n_replay, seed=seed)
+    d = cell_sums(states, actions, mdp.num_states, mdp.num_actions, weights)
+    return OccupancyMeasures(d / n_replay, "weighted")
 
 
 def hybrid_estimate(replay, d2, oracle, include_current=False):
@@ -199,11 +192,10 @@ def hybrid_estimate(replay, d2, oracle, include_current=False):
     + E_{D2}[ 1(s_t=s, a_t=a) (1 - prefix weight) ]."""
     if d2.n == 0:
         raise ValueError("empty empirical split")
-    g = replay.measures.d.copy()
+    _, S, A = replay.d.shape
     weights = 1.0 - _prefix_weights_batch(oracle, d2.states, include_current)
-    t_idx = np.broadcast_to(np.arange(d2.horizon), d2.states.shape)
-    np.add.at(g, (t_idx, d2.states, d2.actions), weights / d2.n)
-    return MatchTarget(g)
+    return MatchTarget(replay.d + cell_sums(d2.states, d2.actions, S, A,
+                                            weights / d2.n))
 
 
 def complement_exact(mdp, policy, oracle, include_current=False):
@@ -250,10 +242,7 @@ def re_pipeline(dataset, mdp, cfg):
                            cfg.include_current)
     emp = dataset if cfg.use_full_data else d2
     target = hybrid_estimate(replay, emp, oracle, cfg.include_current)
-    sol = solve_occupancy_match(mdp, target)
-    if sol.status != "optimal":
-        raise RuntimeError(f"occupancy match failed: {sol.status}")
-    policy = extract_policy(sol.occupancies, mdp)
+    sol, policy = _match(mdp, target)
     return {"d1": d1, "d2": d2, "oracle": oracle, "bc": bc, "replay": replay,
             "target": target, "solution": sol, "policy": policy}
 

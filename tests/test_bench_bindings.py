@@ -1,26 +1,31 @@
 """The benchmark's traced run wraps program functions by module binding and
-reads their arguments and results (perfbench/tracing.py). A renamed
-binding or a changed signature would silently zero its per-layer metrics;
-this runs one LP cell of each kind under the tracer and checks they count."""
+reads their arguments and results (perfbench/tracing.py), and its output
+check captures the dataset and the learned policy at harness's bindings
+(perfbench/workloads.py). A renamed binding or a changed signature would
+silently zero its per-layer metrics or blind the check; this runs one LP
+cell of each kind under the tracer and checks they count, and runs pool
+input 0 of every workload through the output check."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from il_lab import harness
 from il_lab.rng import mix64
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_bindings_count_lp_work():
-    tracer = load_tracing().Tracer()
+    tracer = load("tracing").Tracer()
     bc_lb = {"family": "bc-lb", "states": 16, "actions": 2,
              "reset": "geometric", "ratio": 0.5, "construction_seed": 7}
     tracer.install()
@@ -40,3 +45,27 @@ def test_traced_bindings_count_lp_work():
     names = {span[0] for span in tracer.spans}
     assert {"matching.build_lp", "matching.crash", "simplex.solve",
             "matching.solve"} <= names
+
+
+def test_pool_input_zero_matches_the_reference():
+    # Every workload, grid cell and learner on pool index 0, checked as the
+    # benchmark checks a run: the captured dataset's digest, and the bc gap
+    # or the mm / re L1 distance to target, against reference.json. A
+    # dispatch that bypasses harness.bc_train, mm_train or re_train leaves
+    # Capture without a policy.
+    wl = load("workloads")
+    ref = json.loads((PERFBENCH / "reference.json").read_text())["workloads"]
+    problems = []
+    with wl.Capture() as cap:
+        for name, w in wl.WORKLOADS.items():
+            instances = wl.build_instances(w)
+            for cell in range(len(w.cells)):
+                for learner in w.learners:
+                    cap.reset()
+                    row = wl.call_cell(w, cell, learner, 0)
+                    assert cap.policy is not None, (name, cell, learner)
+                    rec = wl.outcome(w, instances, cell, learner, 0, row, cap)
+                    want = ref[name]["entries"][0][cell]
+                    problems += [(name, cell, learner, msg)
+                                 for msg in wl.mismatches(rec, want, learner)]
+    assert not problems

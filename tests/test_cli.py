@@ -5,7 +5,7 @@ import pytest
 
 from il_lab.cli import main
 from il_lab.datasets import load_dataset
-from il_lab.harness import load_csv
+from il_lab.harness import load_csv, make_instance
 from il_lab.instances import make_mm_lb
 from il_lab.mdp import load_json, mdp_from_json, policy_from_json, \
     policy_value, rollout_batch
@@ -135,6 +135,90 @@ def test_bad_input_ends_in_a_message(tmp_path):
             main(argv)
         assert exc.value.code == message
     assert not (tmp_path / "p.json").exists()
+
+
+def test_missing_files_and_config_keys_end_in_a_message(tmp_path):
+    prefix = gen_instance(tmp_path)
+    data = gen_dataset(tmp_path, prefix)
+    missing = tmp_path / "missing.json"
+    no_file = f"No such file or directory: '{missing}'"
+    train = ["train", "--learner", "re", "--out", str(tmp_path / "p.json")]
+    exp_cfg = tmp_path / "exp.json"
+    exp_cfg.write_text(json.dumps({"instance": {"family": "mm-lb"}}))
+    cases = [
+        (train + ["--instance", str(missing), "--dataset", str(data)],
+         f"train: [Errno 2] {no_file}"),
+        (train + ["--instance", f"{prefix}.mdp.json", "--dataset",
+                  str(missing)], f"train: [Errno 2] {no_file}"),
+        (train + ["--instance", f"{prefix}.mdp.json", "--dataset", str(data),
+                  "--config", str(missing)], f"train: [Errno 2] {no_file}"),
+        (["experiment", "--config", str(exp_cfg)],
+         "experiment: experiment config: ExperimentConfig.__init__() missing "
+         "3 required positional arguments: 'learner', 'grid', and 'seeds'"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == message
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_gen_instance_uses_the_experiment_defaults(tmp_path):
+    # No knob given: the mixture's bc-lb component is the one an
+    # experiment's {"family": "mixture"} builds (construction seed 7).
+    prefix = tmp_path / "mix"
+    assert main(["gen-instance", "--family", "mixture", "--H", "8",
+                 "--draw", "0", "--out", str(prefix)]) == 0
+    mdp = mdp_from_json(load_json(f"{prefix}.mdp.json"))
+    pol = policy_from_json(load_json(f"{prefix}.policy.json"))
+    _, ref_mdp, ref_pol = make_instance({"family": "mixture"}, 8, 100, 0)
+    assert mdp.num_states == ref_mdp.num_states
+    assert np.array_equal(mdp.rho, ref_mdp.rho)
+    assert np.array_equal(mdp.transitions, ref_mdp.transitions)
+    assert np.array_equal(mdp.rewards, ref_mdp.rewards)
+    assert np.array_equal(pol.probs, ref_pol.probs)
+
+
+def test_train_config_reaches_bc(tmp_path):
+    # Two trajectories tie at (t=0, s=0): one plays action 0, one action 1.
+    prefix = gen_instance(tmp_path)
+    data = tmp_path / "tied.jsonl"
+    data.write_text('{"n": 2, "H": 4, "provenance": ["", "", 0]}\n'
+                    "[[0, 0], [0, 0], [0, 0], [0, 0]]\n"
+                    "[[0, 1], [0, 0], [0, 0], [0, 0]]\n")
+    rows = {}
+    for config in ([], ["--config", '{"tie_rule": "uniform"}']):
+        out = tmp_path / "bc.policy.json"
+        assert main(["train", "--learner", "bc", "--instance",
+                     f"{prefix}.mdp.json", "--dataset", str(data),
+                     "--out", str(out), *config]) == 0
+        rows[len(config)] = policy_from_json(load_json(out)).probs[0, 0]
+    assert rows[0].tolist() == [1.0, 0.0]
+    assert rows[2].tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("learner,what", [("bc", "bc config"),
+                                          ("mm", "mm config"),
+                                          ("re", "replay-estimation config")])
+def test_train_rejects_unknown_config_keys(tmp_path, learner, what):
+    prefix = gen_instance(tmp_path)
+    data = gen_dataset(tmp_path, prefix)
+    out = tmp_path / "p.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--learner", learner, "--instance",
+              f"{prefix}.mdp.json", "--dataset", str(data), "--out", str(out),
+              "--config", '{"tie_rul": "uniform"}'])
+    assert exc.value.code == f"train: unknown {what} keys: tie_rul"
+    assert not out.exists()
+
+
+def test_gen_instance_rejects_a_knob_its_family_does_not_read(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-instance", "--family", "mm-lb", "--H", "4", "--states",
+              "5", "--out", str(tmp_path / "x")])
+    assert exc.value.code == ("gen-instance: unknown mm-lb instance keys: "
+                              "states")
+    assert not (tmp_path / "x.mdp.json").exists()
 
 
 def test_experiment_round_trip_and_fit(tmp_path, capsys):

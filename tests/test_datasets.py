@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from il_lab.datasets import Dataset, SplitConfig, empirical_occupancy, \
-    check_dataset, load_dataset, missing_mass, sample_dataset, save_dataset, split, \
+from il_lab.datasets import Dataset, SplitConfig, cell_sums, \
+    empirical_occupancy, check_dataset, load_dataset, missing_mass, sample_dataset, save_dataset, split, \
     visited_table
 from il_lab.instances import geometric_reset, make_bc_lb, make_fan, \
     make_mm_lb
@@ -52,6 +52,30 @@ def test_sample_rejects_empty():
 
 
 # ------------------------------------------------------------- empirical
+
+def scatter_reference(states, actions, S, A, weights):
+    """Per-cell sums by np.add.at, one step at a time in row-major order."""
+    H = states.shape[1]
+    out = np.zeros((H, S, A))
+    t_idx = np.broadcast_to(np.arange(H), states.shape)
+    np.add.at(out, (t_idx, states, actions), weights)
+    return out
+
+
+def test_cell_sums_match_the_scatter_reference():
+    # bincount adds in the reference's order, so the sums agree bit for bit.
+    S, A, n, H = 5, 3, 400, 6
+    u = np.array([mix64(31, i) for i in range(3 * n * H)]) / 2.0**64
+    states = (u[:n * H] * S).astype(np.int64).reshape(n, H)
+    actions = (u[n * H:2 * n * H] * A).astype(np.int64).reshape(n, H)
+    weights = u[2 * n * H:].reshape(n, H)
+    counts = cell_sums(states, actions, S, A)
+    assert counts.dtype == np.int64 and counts.shape == (H, S, A)
+    assert np.array_equal(counts, scatter_reference(states, actions, S, A,
+                                                    np.ones((n, H))))
+    assert np.array_equal(cell_sums(states, actions, S, A, weights),
+                          scatter_reference(states, actions, S, A, weights))
+
 
 def test_empirical_single_trajectory():
     ds = tiny_dataset([[(0, 1), (2, 0)]])

@@ -6,8 +6,8 @@ import pytest
 from il_lab import harness
 from il_lab.datasets import SplitConfig, sample_dataset
 from il_lab.harness import CSV_COLUMNS, ExperimentConfig, ResultRow, \
-    conditional_gap_check, event_probe, fit_slope, load_csv, rows_to_csv, \
-    run_cell, run_experiment
+    conditional_gap_check, event_probe, fit_slope, load_csv, make_instance, \
+    rows_to_csv, run_cell, run_experiment, train
 from il_lab.instances import make_mm_lb
 from il_lab.learners import ReConfig, re_train
 from il_lab.mdp import policy_value
@@ -90,7 +90,7 @@ def test_mixture_cells_reduce_to_their_component_families():
 def test_failure_rows_are_emitted_not_dropped(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic solver failure")
-    monkeypatch.setattr(harness, "_train", boom)
+    monkeypatch.setattr(harness, "mm_train", boom)
     cfg = ExperimentConfig(instance={"family": "mm-lb"}, learner={"id": "mm"},
                            grid={"H": [4], "n_exp": [16]},
                            seeds={"count": 2, "base": 1})
@@ -123,6 +123,42 @@ def test_re_learner_keys():
     for key in ("split_seed", "replay_seed"):
         with pytest.raises(ValueError, match=f"{key} are derived"):
             run_cell({"family": "mm-lb"}, {"id": "re", key: 1}, 4, 64, seed)
+
+
+@pytest.mark.parametrize("family,H", [("mm-lb", 4), ("bc-lb", 4), ("fan", 4),
+                                      ("two-state", 4), ("mixture", 8)])
+def test_every_family_rejects_an_unknown_key(family, H):
+    with pytest.raises(ValueError,
+                       match=f"^unknown {family} instance keys: sates$"):
+        make_instance({"family": family, "sates": 4}, H, 16, 0)
+
+
+@pytest.mark.parametrize("learner,what,key", [
+    ("bc", "bc config", "tie_rul"),
+    ("mm", "mm config", "frac1"),  # keys of the other learners are not mm's
+    ("mm", "mm config", "tie_rule"),
+    ("re", "replay-estimation config", "tie_rul")])
+def test_every_learner_rejects_an_unknown_key(learner, what, key):
+    # Through run_cell (an experiment's learner config) and through train
+    # (the CLI's --config).
+    message = f"^unknown {what} keys: {key}$"
+    with pytest.raises(ValueError, match=message):
+        run_cell({"family": "mm-lb"}, {"id": learner, key: 0.3}, 4, 16, 1)
+    mdp, expert = make_mm_lb(4, 16)
+    ds = sample_dataset(mdp, expert, 16, 1)
+    with pytest.raises(ValueError, match=message):
+        train(learner, {key: 0.3}, ds, mdp)
+
+
+def test_experiment_config_from_json_names_missing_and_unknown_keys():
+    base = {"instance": {"family": "mm-lb"}, "learner": {"id": "bc"},
+            "grid": {"H": [4], "n_exp": [16]}, "seeds": {"count": 2}}
+    with pytest.raises(ValueError, match="'learner', 'grid', and 'seeds'"):
+        ExperimentConfig.from_json({"instance": {"family": "mm-lb"}})
+    with pytest.raises(ValueError, match="unexpected keyword argument 'seed'"):
+        ExperimentConfig.from_json({**base, "seed": 3})
+    with pytest.raises(ValueError, match="must be a mapping"):
+        ExperimentConfig.from_json([base])
 
 
 # -------------------------------------------------------------------- csv

@@ -4,9 +4,10 @@ import pytest
 from il_lab.datasets import Dataset, SplitConfig, empirical_occupancy, \
     sample_dataset, split
 from il_lab.instances import make_mm_lb, make_two_state_uniform
-from il_lab.learners import MembershipOracle, ReConfig, bc_train, \
-    complement_exact, hybrid_estimate, membership_tabular, mm_train, \
-    prefix_weight, re_pipeline, re_train, replay_exact, replay_mc
+from il_lab.learners import MembershipOracle, ReConfig, \
+    _prefix_weights_batch, bc_train, complement_exact, hybrid_estimate, \
+    membership_tabular, mm_train, prefix_weight, re_pipeline, re_train, \
+    replay_exact, replay_mc
 from il_lab.mdp import exact_occupancy, l1_layer_distance, policy_value
 from il_lab.rng import mix64
 
@@ -112,21 +113,21 @@ def test_prefix_weight_non_increasing():
 def test_replay_with_full_membership_is_exact_occupancy():
     mdp, expert = make_mm_lb(4, 100)
     rep = replay_exact(mdp, expert, MembershipOracle.ones(4, 2))
-    assert np.allclose(rep.measures.d, exact_occupancy(mdp, expert).d,
+    assert np.allclose(rep.d, exact_occupancy(mdp, expert).d,
                        atol=1e-15)
 
 
 def test_replay_with_empty_membership_keeps_only_first_layer():
     mdp, expert = make_mm_lb(4, 100)
     rep = replay_exact(mdp, expert, MembershipOracle.zeros(4, 2))
-    d = rep.measures.d
+    d = rep.d
     # Prefix over t' < 0 is empty, so layer 0 survives; everything after is
     # cut off by the zero membership of the first state.
     assert np.allclose(d[0], exact_occupancy(mdp, expert).d[0], atol=1e-15)
     assert np.all(d[1:] == 0.0)
     rep_inc = replay_exact(mdp, expert, MembershipOracle.zeros(4, 2),
                            include_current=True)
-    assert np.all(rep_inc.measures.d == 0.0)
+    assert np.all(rep_inc.d == 0.0)
 
 
 def test_replay_partial_membership_layer_mass():
@@ -136,7 +137,7 @@ def test_replay_partial_membership_layer_mass():
     m = np.zeros((3, 2))
     m[:, 0] = 1.0
     rep = replay_exact(mdp, expert, MembershipOracle(m))
-    sums = rep.measures.d.sum(axis=(1, 2))
+    sums = rep.d.sum(axis=(1, 2))
     assert sums[0] == pytest.approx(1.0, abs=1e-15)
     assert sums[1] == pytest.approx(0.5, abs=1e-15)
     assert sums[2] == pytest.approx(0.25, abs=1e-15)
@@ -151,19 +152,18 @@ def test_replay_mc_converges_to_exact():
     ex = replay_exact(mdp, bc, oracle)
     mc = replay_mc(mdp, bc, oracle, 100_000, 44)
     for t in range(4):
-        assert l1_layer_distance(mc.measures, ex.measures, t) <= 0.05
+        assert l1_layer_distance(mc, ex, t) <= 0.05
 
 
 def test_replay_mc_single_rollout_and_determinism():
     mdp, expert = make_mm_lb(4, 100)
     oracle = MembershipOracle.ones(4, 2)
     one = replay_mc(mdp, expert, oracle, 1, 5)
-    assert np.allclose(one.measures.d.sum(axis=(1, 2)), 1.0, atol=1e-15)
-    assert set(np.unique(one.measures.d)) <= {0.0, 1.0}
+    assert one.kind == "weighted"
+    assert np.allclose(one.d.sum(axis=(1, 2)), 1.0, atol=1e-15)
+    assert set(np.unique(one.d)) <= {0.0, 1.0}
     again = replay_mc(mdp, expert, oracle, 1, 5)
-    assert np.array_equal(one.measures.d, again.measures.d)
-    other = replay_mc(mdp, expert, oracle, 1, 6)
-    assert one.seed != other.seed
+    assert np.array_equal(one.d, again.d)
 
 
 # ----------------------------------------------------------------- hybrid
@@ -173,7 +173,7 @@ def test_hybrid_with_full_membership_is_pure_replay():
     ds = sample_dataset(mdp, expert, 16, 19)
     rep = replay_exact(mdp, expert, MembershipOracle.ones(4, 2))
     g = hybrid_estimate(rep, ds, MembershipOracle.ones(4, 2))
-    assert np.array_equal(g.g, rep.measures.d)
+    assert np.array_equal(g.g, rep.d)
 
 
 def test_hybrid_with_empty_membership_is_empirical_after_first_layer():
@@ -183,8 +183,27 @@ def test_hybrid_with_empty_membership_is_empirical_after_first_layer():
     g = hybrid_estimate(rep, ds, MembershipOracle.zeros(4, 2))
     emp = empirical_occupancy(ds, 2, 2).d
     # Layer 0 comes from the replay (prefix weight 1); the rest is data.
-    assert np.allclose(g.g[0], rep.measures.d[0], atol=1e-15)
+    assert np.allclose(g.g[0], rep.d[0], atol=1e-15)
     assert np.allclose(g.g[1:], emp[1:], atol=1e-15)
+
+
+def test_hybrid_matches_a_scatter_onto_the_replay():
+    # The reference adds each D2 step onto the replay in turn; hybrid_estimate
+    # sums the D2 steps first, so the two differ by rounding only: at most
+    # one rounding of a value <= 1 per added step.
+    mdp, expert = make_mm_lb(6, 1024)
+    ds = sample_dataset(mdp, expert, 1000, 29)
+    d1, d2 = split(ds, SplitConfig(0.5, 3))
+    soft = MembershipOracle(np.linspace(0.1, 0.9, 12).reshape(6, 2))
+    rep = replay_exact(mdp, bc_train(d1, 2, 2, 6), soft)
+    for oracle in (soft, membership_tabular(d1, 2, 6)):
+        for flag in (False, True):
+            ref = rep.d.copy()
+            w = 1.0 - _prefix_weights_batch(oracle, d2.states, flag)
+            t_idx = np.broadcast_to(np.arange(6), d2.states.shape)
+            np.add.at(ref, (t_idx, d2.states, d2.actions), w / d2.n)
+            g = hybrid_estimate(rep, d2, oracle, flag).g
+            assert np.abs(g - ref).max() <= d2.n * np.finfo(float).eps
 
 
 def test_hybrid_layers_sum_to_one_with_hard_oracle():
@@ -205,7 +224,7 @@ def test_complement_routes_match_on_self_distribution():
     oracle = MembershipOracle(m)
     rep = replay_exact(mdp, expert, oracle)
     comp = complement_exact(mdp, expert, oracle)
-    total = rep.measures.d + comp
+    total = rep.d + comp
     assert np.allclose(total, exact_occupancy(mdp, expert).d, atol=1e-12)
 
 
@@ -231,7 +250,7 @@ def test_re_with_ones_override_reduces_to_bc_replay():
     out = re_pipeline(ds, mdp, cfg)
     # With full membership the hybrid is exactly the BC replay occupancy, a
     # consistent target, so matching reproduces the BC policy's value.
-    assert np.array_equal(out["target"].g, out["replay"].measures.d)
+    assert np.array_equal(out["target"].g, out["replay"].d)
     J_re = policy_value(mdp, out["policy"])
     J_bc = policy_value(mdp, out["bc"])
     assert abs(J_re - J_bc) <= 1e-9
@@ -284,5 +303,5 @@ def test_re_replays_expert_action_on_covered_states():
     seen = membership_tabular(out["d1"], 2, 4).m.astype(bool)
     bc = out["bc"].probs
     assert np.all(bc[:, :, 0][seen] == 1.0)
-    rep = out["replay"].measures.d
+    rep = out["replay"].d
     assert np.all(rep[:, :, 1][seen] == 0.0)

@@ -8,7 +8,8 @@ from il_lab.instances import geometric_reset, make_bc_lb, make_mm_lb
 from il_lab.matching import build_match_lp, crash_basis
 from il_lab.mdp import deterministic_policy, exact_occupancy
 from il_lab.rng import mix64
-from il_lab.simplex import _PIVOT_MIN, TOL, _iterate, simplex
+import il_lab.simplex as simplex_module
+from il_lab.simplex import _PIVOT_MIN, STALL_LIMIT, TOL, _iterate, simplex
 
 
 def slack_form(A_ub, b_ub):
@@ -98,7 +99,7 @@ def test_matches_reference_solver_on_random_lps():
     assert not failures, failures
 
 
-def test_iteration_cap_reports_failure_not_lies():
+def test_stall_limit_one_still_reaches_the_optimum():
     A = np.array([[1.0, 1.0]])
     b = np.array([1.0])
     g = np.array([1.0, 0.0])
@@ -248,6 +249,22 @@ def tilted_match_lp(mdp, expert):
     g = 0.5 * d + 0.5 * (tilt / tilt.sum()).reshape(d.shape) * mdp.horizon
     Amat, b = build_match_lp(mdp)
     return Amat, b, g.ravel(), crash_basis(mdp)
+
+
+def test_iteration_cap_reports_failure_not_lies(monkeypatch):
+    # One iteration is not enough on the tilted bc-lb LP: _iterate stops at
+    # its budget without claiming optimality.
+    A, b, g, basis = tilted_match_lp(
+        *make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7))
+    T, state = start(A, b, g, basis)
+    out = _iterate(T, np.array(basis), g, *state, STALL_LIMIT, 1)
+    assert out == (False, 1)
+    # simplex turns an exhausted 50 * n budget into a failure, not a point.
+    monkeypatch.setattr(simplex_module, "_iterate",
+                        lambda *args: (False, args[-1]))
+    x, obj, status, it = simplex(A, b, g, basis)
+    assert (x, obj, status) == (None, np.inf, "numeric-failure")
+    assert it == 50 * A.shape[1]
 
 
 def test_sparse_update_follows_the_dense_pivot_path():
