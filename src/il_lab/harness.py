@@ -43,6 +43,8 @@ class ExperimentConfig:
     output: str = ""
 
     def __post_init__(self):
+        _reject_unread(self.grid.keys() - {"H", "n_exp"}, "grid")
+        _reject_unread(self.seeds.keys() - {"count", "base"}, "seeds")
         if not self.grid.get("H") or not self.grid.get("n_exp"):
             raise ValueError("grid must carry nonempty H and n_exp lists")
         if self.seeds.get("count", 0) < 1:

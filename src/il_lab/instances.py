@@ -120,8 +120,8 @@ class MixtureSampler:
     function of (seed, i, n_exp) and returns (component_tag, mdp, expert);
     n_exp parameterizes the mm_lb component (its rho depends on it)."""
 
-    def __init__(self, seed, mm_horizon=8, bc_states=16, bc_horizon=8,
-                 bc_actions=2, bc_reset=None, bc_seed=7):
+    def __init__(self, seed, mm_horizon, bc_states, bc_horizon, bc_actions,
+                 bc_reset, bc_seed):
         self.seed = seed
         self.mm_horizon = mm_horizon
         self.bc_states = bc_states

@@ -2,14 +2,17 @@
 seeded rollouts. Conventions: steps are 0-based t in [0, H); transitions[t]
 maps step t to t+1 and exists only for t < H-1; probability rows live on the
 last axis, must sum to 1 within 1e-9 (then get renormalized exactly), and
-zero rows are rejected -- absorbing states need explicit self-loops."""
+zero rows are rejected -- absorbing states need explicit self-loops.
+rollout_batch reproduces the scalar rollout bit for bit: it absorbs each
+trajectory's hash prefix once and draws by exact integer CDF thresholds
+(rng.draw_tables) instead of comparing floats."""
 
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import (categorical, categorical_rows, last_positive, mix64,
+from .rng import (absorb, categorical, categorical_rows, draw_tables, mix64,
                   mix64_array)
 
 ROW_TOL = 1e-9
@@ -154,7 +157,8 @@ def _check_dims(mdp, policy):
 def rollout(mdp, policy, seed):
     """One trajectory by ancestral sampling, a pure function of the seed.
     The state arriving at step t is drawn on stream hash(seed,t,0), the
-    action at step t on hash(seed,t,1)."""
+    action at step t on hash(seed,t,1). This scalar path is the reference
+    that rollout_batch reproduces bit for bit."""
     _check_dims(mdp, policy)
     H = mdp.horizon
     states = np.empty(H, dtype=np.int64)
@@ -170,27 +174,34 @@ def rollout(mdp, policy, seed):
 
 def rollout_batch(mdp, policy, n, seed):
     """n trajectories as (states, actions) arrays of shape (n,H). Row i is
-    bit-identical to rollout(mdp, policy, mix64(seed, i))."""
+    bit-identical to rollout(mdp, policy, mix64(seed, i)). The loop keeps
+    (H, n) buffers and hashes incrementally: trajectory seeds are absorbed
+    once per call, t once per step, and the stream tag last, so each step
+    costs three absorb rounds. Each draw is a lookup in an integer
+    threshold table built once per call (rng.draw_tables)."""
     _check_dims(mdp, policy)
-    H, S = mdp.horizon, mdp.num_states
-    tseeds = mix64_array(seed, np.arange(n, dtype=np.uint64))
-    cdf_rho = np.cumsum(mdp.rho)
-    lp_rho = last_positive(mdp.rho)
-    cdf_pi = np.cumsum(policy.probs, axis=-1)
-    lp_pi = last_positive(policy.probs)
-    cdf_p = np.cumsum(mdp.transitions, axis=-1)
-    lp_p = last_positive(mdp.transitions)
-    states = np.empty((n, H), dtype=np.int64)
-    actions = np.empty((n, H), dtype=np.int64)
-    s = categorical_rows(cdf_rho[None, :], lp_rho, mix64_array(tseeds, 0, 0))
+    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
+    [start] = draw_tables(mdp.rho[None, None, :])
+    pi = draw_tables(policy.probs)
+    moves = draw_tables(mdp.transitions.reshape(H - 1, S * A, S))
+    prefix = np.zeros(n, np.uint64)
+    tmp, step, h = (np.empty_like(prefix) for _ in range(3))
+    absorb(prefix, mix64_array(seed, np.arange(n, dtype=np.uint64)), tmp)
+    states = np.empty((H, n), dtype=np.int64)
+    actions = np.empty((H, n), dtype=np.int64)
+    rows = np.zeros(n, dtype=np.int64)
     for t in range(H):
-        a = categorical_rows(cdf_pi[t][s], lp_pi[t][s],
-                             mix64_array(tseeds, t, 1))
-        states[:, t], actions[:, t] = s, a
-        if t + 1 < H:
-            s = categorical_rows(cdf_p[t][s, a], lp_p[t][s, a],
-                                 mix64_array(tseeds, t + 1, 0))
-    return states, actions
+        np.copyto(step, prefix)
+        absorb(step, t, tmp)
+        np.copyto(h, step)
+        absorb(h, 0, tmp)
+        states[t] = categorical_rows(moves[t - 1] if t else start, rows, h)
+        np.copyto(h, step)
+        absorb(h, 1, tmp)
+        actions[t] = categorical_rows(pi[t], states[t], h)
+        np.multiply(states[t], A, out=rows)
+        rows += actions[t]
+    return states.T, actions.T
 
 
 def exact_occupancy(mdp, policy):

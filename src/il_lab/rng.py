@@ -1,6 +1,15 @@
 """Counter-based randomness. Every draw is a pure function of the integers
 hashed into it, so experiments are bit-reproducible across platforms and
-trivially parallel. The hash is a splitmix64 absorb-finalize chain."""
+trivially parallel. The hash is a splitmix64 absorb-finalize chain; absorb
+runs one round in place, so a batch sampler can absorb a shared prefix once
+and finish each draw's hash with the rounds that differ.
+
+A draw u = (h >> 11) * 2^-53 is exact, so u >= c holds exactly when
+(h >> 11) >= ceil(c * 2^53). draw_tables turns CDF rows into those integer
+thresholds, packed row by row into sorted uint64 keys, and categorical_rows
+makes each draw one np.searchsorted into them."""
+
+import math
 
 import numpy as np
 
@@ -8,6 +17,17 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_G, _M1, _M2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+# Threshold keys: (row << 53) + ceil(cdf * 2^53), a threshold of 2^53 never
+# being reached by a 53-bit draw. A block packs at most _BLOCK_ROWS rows, so
+# its largest key, _BLOCK_ROWS << 53, stays below 2^64.
+_BITS = 53
+_NEVER = 1 << _BITS
+_BLOCK_ROWS = (1 << (64 - _BITS)) - 1
+_SHIFT = np.uint64(_BITS)
+_DROP = np.uint64(64 - _BITS)
 
 
 def mix64(*vals):
@@ -21,6 +41,25 @@ def mix64(*vals):
     return h
 
 
+def absorb(h, v, tmp):
+    """One mix64 round on the uint64 array h, in place: h becomes the hash
+    of its chain extended by v (an int, or an array broadcasting to h).
+    tmp is uint64 scratch of h's shape."""
+    if np.ndim(v) == 0:
+        h += np.uint64((_GAMMA + (int(v) & _MASK)) & _MASK)
+    else:
+        h += np.asarray(v).astype(np.uint64, copy=False)
+        h += _G
+    np.right_shift(h, _S30, out=tmp)
+    h ^= tmp
+    h *= _M1
+    np.right_shift(h, _S27, out=tmp)
+    h ^= tmp
+    h *= _M2
+    np.right_shift(h, _S31, out=tmp)
+    h ^= tmp
+
+
 def mix64_array(*vals):
     """Vectorized mix64. Each val is an int or uint64-compatible ndarray;
     arrays broadcast. Bit-identical to mix64 applied elementwise."""
@@ -28,13 +67,9 @@ def mix64_array(*vals):
     if shape == ():
         return np.uint64(mix64(*vals))
     h = np.zeros(shape, np.uint64)
-    g, m1, m2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
-    s30, s27, s31 = np.uint64(30), np.uint64(27), np.uint64(31)
+    tmp = np.empty_like(h)
     for v in vals:
-        h = h + g + np.asarray(v).astype(np.uint64)
-        h = (h ^ (h >> s30)) * m1
-        h = (h ^ (h >> s27)) * m2
-        h = h ^ (h >> s31)
+        absorb(h, v, tmp)
     return h
 
 
@@ -58,15 +93,49 @@ def categorical(row, h):
     return min(i, last)
 
 
-def categorical_rows(cdf_rows, last_pos, h_arr):
-    """Batch inverse-CDF: one draw per row of cdf_rows (n, k). Matches
-    categorical() bit-for-bit on each row."""
-    u = unit_double_array(h_arr)
-    idx = (u[:, None] >= cdf_rows).sum(axis=1)
-    return np.minimum(idx, last_pos)
-
-
 def last_positive(prob_table):
     """Index of the last strictly positive entry along the final axis."""
     flipped = prob_table[..., ::-1] > 0
     return prob_table.shape[-1] - 1 - flipped.argmax(axis=-1)
+
+
+def draw_tables(probs):
+    """Draw tables for probability rows probs (..., R, k): one table per
+    leading index, drawing from its R rows. Entry j of a row holds
+    ceil(cdf_j * 2^53), or 2^53 ("never") from the row's last positive
+    entry on, which folds categorical's clamp into the table; the last
+    entry is always "never" and is not stored. A table is (k - 1, blocks),
+    each block the packed keys of up to _BLOCK_ROWS consecutive rows."""
+    probs = np.asarray(probs)
+    *lead, R, k = probs.shape
+    w = k - 1
+    cdf = np.cumsum(probs[..., :w], axis=-1)
+    thr = np.minimum(np.ceil(cdf * 2.0**_BITS), _NEVER).astype(np.uint64)
+    thr[np.arange(w) >= last_positive(probs)[..., None]] = _NEVER
+    thr += (np.arange(R) % _BLOCK_ROWS).astype(np.uint64)[:, None] << _SHIFT
+    keys = thr.reshape(math.prod(lead), R * w)
+    return [(w, tuple(step[r * w:(r + _BLOCK_ROWS) * w]
+                      for r in range(0, R, _BLOCK_ROWS)))
+            for step in keys]
+
+
+def categorical_rows(table, rows, h_arr):
+    """Batch inverse-CDF: draw i comes from row rows[i] of a draw_tables
+    table on hash h_arr[i]. Counts the row's thresholds at or below
+    h >> 11 with one searchsorted; matches categorical() bit for bit. A
+    table of several blocks draws each block's rows on their own."""
+    width, blocks = table
+    if len(blocks) > 1:
+        out = np.empty(len(h_arr), np.int64)
+        block = rows // _BLOCK_ROWS
+        for b, keys in enumerate(blocks):
+            sel = block == b
+            out[sel] = categorical_rows((width, (keys,)),
+                                        rows[sel] - b * _BLOCK_ROWS, h_arr[sel])
+        return out
+    q = rows.astype(np.uint64)
+    q <<= _SHIFT
+    q |= h_arr >> _DROP
+    idx = np.searchsorted(blocks[0], q, side="right")
+    idx -= rows * width
+    return idx

@@ -3,8 +3,8 @@ reads their arguments and results (perfbench/tracing.py), and its output
 check captures the dataset and the learned policy at harness's bindings
 (perfbench/workloads.py). A renamed binding or a changed signature would
 silently zero its per-layer metrics or blind the check; this runs one LP
-cell of each kind under the tracer and checks they count, and runs pool
-input 0 of every workload through the output check."""
+cell of each kind and one sampling cell under the tracer and checks they
+count, and runs pool input 0 of every workload through the output check."""
 
 import importlib.util
 import json
@@ -45,6 +45,25 @@ def test_traced_bindings_count_lp_work():
     names = {span[0] for span in tracer.spans}
     assert {"matching.build_lp", "matching.crash", "simplex.solve",
             "matching.solve"} <= names
+
+
+def test_traced_bindings_count_sampler_work():
+    # One bc-lb-clone cell: every step draws a state and an action through
+    # mdp's categorical_rows binding, hash array third (the tracer counts
+    # len(args[2])), and rollout_batch returns H * n steps.
+    tracer = load("tracing").Tracer()
+    inst = load("workloads").WORKLOADS["bc-lb-clone"].instance
+    H, n = 8, 1024
+    tracer.install()
+    try:
+        row = harness.run_cell(inst, {"id": "bc"}, H, n, mix64(404, 0))
+    finally:
+        tracer.remove()
+    assert row.status == "ok"
+    assert tracer.counts["rng.draws"] == 2 * H * n
+    assert tracer.counts["mdp.steps"] == H * n
+    names = {span[0] for span in tracer.spans}
+    assert {"rng.hash", "rng.categorical", "mdp.rollout"} <= names
 
 
 def test_pool_input_zero_matches_the_reference():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 from il_lab.datasets import Dataset, SplitConfig, cell_sums, \
     empirical_occupancy, check_dataset, load_dataset, missing_mass, sample_dataset, save_dataset, split, \
     visited_table
+from il_lab.harness import make_instance
 from il_lab.instances import geometric_reset, make_bc_lb, make_fan, \
     make_mm_lb
 from il_lab.mdp import exact_occupancy, l1_layer_distance
@@ -43,6 +46,30 @@ def test_sample_start_state_frequency():
     # rho(state 1) = 1/sqrt(10000) = 0.01, so about 100 rare starts.
     count = int((ds.states[:, 0] == 1).sum())
     assert abs(count - 100) <= 30
+
+
+# blake2b-64 of the states then the actions (little-endian int64, (n,H)
+# row-major) of sample_dataset on one cell per instance family, seed
+# mix64(606, H, n). A sampler change that moves any trajectory moves these.
+FROZEN_DIGESTS = [
+    ({"family": "mm-lb"}, 8, 1024, "ca613a934ad4e62b"),
+    ({"family": "bc-lb", "states": 20, "actions": 2, "reset": "geometric",
+      "ratio": 0.5, "construction_seed": 0}, 16, 1024, "cc22cb8885588968"),
+    ({"family": "two-state"}, 5, 512, "92987318300eb9c0"),
+    ({"family": "fan", "states": 4}, 6, 512, "0609b431d80fbd5a"),
+    ({"family": "mixture"}, 8, 1024, "2d35ea672a6a3ddc"),
+]
+
+
+@pytest.mark.parametrize("cfg,H,n,digest", FROZEN_DIGESTS,
+                         ids=[c[0]["family"] for c in FROZEN_DIGESTS])
+def test_sampled_datasets_keep_their_frozen_digests(cfg, H, n, digest):
+    _, mdp, expert = make_instance(cfg, H, n, 0)
+    ds = sample_dataset(mdp, expert, n, mix64(606, H, n))
+    h = hashlib.blake2b(digest_size=8)
+    h.update(np.ascontiguousarray(ds.states, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(ds.actions, dtype="<i8").tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_sample_rejects_empty():

@@ -161,6 +161,20 @@ def test_experiment_config_from_json_names_missing_and_unknown_keys():
         ExperimentConfig.from_json([base])
 
 
+def test_experiment_config_rejects_unknown_grid_and_seeds_keys():
+    base = {"instance": {"family": "mm-lb"}, "learner": {"id": "bc"},
+            "grid": {"H": [4], "n_exp": [8]}, "seeds": {"count": 2}}
+    with pytest.raises(ValueError, match="^unknown seeds keys: bsae$"):
+        ExperimentConfig.from_json({**base,
+                                    "seeds": {"count": 2, "bsae": 5}})
+    with pytest.raises(ValueError, match="^unknown grid keys: N, n$"):
+        ExperimentConfig.from_json(
+            {**base, "grid": {"H": [4], "n_exp": [8], "n": [5], "N": [5]}})
+    cfg = ExperimentConfig.from_json({**base,
+                                      "seeds": {"count": 2, "base": 5}})
+    assert [r.seed for r in run_experiment(cfg)] == [0, 1]
+
+
 # -------------------------------------------------------------------- csv
 
 def test_csv_schema_and_round_trip(tmp_path):

@@ -164,7 +164,7 @@ def test_fan_sink_absorbs():
 # ---------------------------------------------------------------- mixture
 
 def test_mixture_draws_are_pure():
-    sampler = MixtureSampler(5, mm_horizon=8, bc_states=16)
+    sampler = MixtureSampler(5, 8, 16, 8, 2, None, 7)
     tag_a, mdp_a, pol_a = sampler.draw(12, 256)
     tag_b, mdp_b, pol_b = sampler.draw(12, 256)
     assert tag_a == tag_b
@@ -173,7 +173,7 @@ def test_mixture_draws_are_pure():
 
 
 def test_mixture_is_roughly_fair():
-    sampler = MixtureSampler(9)
+    sampler = MixtureSampler(9, 8, 16, 8, 2, None, 7)
     tags = [sampler.draw(i, 64)[0] for i in range(4000)]
     frac_mm = tags.count("mm-lb") / 4000
     assert abs(frac_mm - 0.5) <= 0.025
@@ -181,7 +181,7 @@ def test_mixture_is_roughly_fair():
 
 
 def test_mixture_components_match_direct_constructors():
-    sampler = MixtureSampler(3, mm_horizon=6, bc_states=5, bc_seed=2)
+    sampler = MixtureSampler(3, 6, 5, 8, 2, None, 2)
     seen = set()
     for i in range(40):
         tag, mdp, expert = sampler.draw(i, 81)

@@ -10,6 +10,7 @@ from il_lab.mdp import MarkovPolicy, OccupancyMeasures, TabularMdp, \
     Trajectory, deterministic_policy, exact_occupancy, l1_layer_distance, \
     mdp_from_json, mdp_to_json, policy_from_json, policy_to_json, \
     policy_value, rollout, rollout_batch
+from il_lab import rng
 from il_lab.rng import mix64
 
 
@@ -110,13 +111,64 @@ def test_rollout_is_pure():
     assert np.array_equal(a.actions, b.actions)
 
 
+def assert_batch_matches_scalar(mdp, pol, n, seed):
+    states, actions = rollout_batch(mdp, pol, n, seed)
+    assert states.shape == actions.shape == (n, mdp.horizon)
+    for i in range(n):
+        t = rollout(mdp, pol, mix64(seed, i))
+        assert states[i].tolist() == t.states.tolist()
+        assert actions[i].tolist() == t.actions.tolist()
+    return states, actions
+
+
 def test_rollout_batch_matches_scalar_rollouts():
-    mdp, expert = make_mm_lb(5, 64)
-    states, actions = rollout_batch(mdp, expert, 40, 17)
-    for i in range(40):
-        t = rollout(mdp, expert, mix64(17, i))
-        assert np.array_equal(states[i], t.states)
-        assert np.array_equal(actions[i], t.actions)
+    assert_batch_matches_scalar(*make_mm_lb(5, 64), 40, 17)
+
+
+@st.composite
+def weighted_mdps(draw):
+    """Small MDP and policy whose rows are integer weights 0..4 over their
+    sum: zero-mass entries anywhere (trailing ones included), deterministic
+    rows, and dyadic rows such as 0.25/0.75."""
+    S, A, H = draw(st.integers(1, 4)), draw(st.integers(1, 3)), \
+        draw(st.integers(1, 5))
+
+    def rows(*shape):
+        size = int(np.prod(shape))
+        w = np.array(draw(st.lists(st.integers(0, 4), min_size=size,
+                                   max_size=size)), dtype=np.float64)
+        w = w.reshape(shape)
+        w[..., 0] += w.sum(axis=-1) == 0
+        return w / w.sum(axis=-1, keepdims=True)
+
+    mdp = TabularMdp(H, S, A, rows(S), rows(H - 1, S, A, S),
+                     np.zeros((H, S, A)))
+    return mdp, MarkovPolicy(rows(H, S, A))
+
+
+@given(weighted_mdps(), st.integers(1, 12), st.integers(0, 2**64 - 1))
+def test_rollout_batch_is_bit_identical_to_scalar_rollouts(inst, n, seed):
+    assert_batch_matches_scalar(*inst, n, seed)
+
+
+def test_rollout_batch_single_trajectory_single_step():
+    mdp = TabularMdp(1, 3, 2, np.array([0.25, 0.75, 0.0]),
+                     np.zeros((0, 3, 2, 3)), np.zeros((1, 3, 2)))
+    pol = MarkovPolicy(np.array([[[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]]))
+    for seed in range(20):
+        assert_batch_matches_scalar(mdp, pol, 1, seed)
+
+
+def test_rollout_batch_past_one_key_block():
+    # S*A transition rows exceed what one packed key block holds, so the
+    # draws of one step fall in two blocks.
+    S, A = 700, 3
+    assert S * A > rng._BLOCK_ROWS
+    mdp = random_mdp(mix64(24), S, A, 3)
+    states, actions = assert_batch_matches_scalar(
+        mdp, random_policy(mix64(25), S, A, 3), 200, 26)
+    rows = states[:, :-1] * A + actions[:, :-1]
+    assert (rows < rng._BLOCK_ROWS).any() and (rows >= rng._BLOCK_ROWS).any()
 
 
 def test_initial_state_frequency():

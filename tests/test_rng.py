@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from il_lab.rng import categorical, categorical_rows, last_positive, mix64, \
-    mix64_array, unit_double, unit_double_array
+from il_lab import rng
+from il_lab.rng import absorb, categorical, categorical_rows, draw_tables, \
+    last_positive, mix64, mix64_array, unit_double, unit_double_array
 
 
 def test_mix64_matches_vectorized_path():
@@ -17,6 +20,21 @@ def test_mix64_multi_argument_chain():
     vec = mix64_array(3, idx, 9)
     scalar = np.array([mix64(3, int(i), 9) for i in range(64)], dtype=np.uint64)
     assert np.array_equal(vec, scalar)
+
+
+def test_absorb_extends_a_shared_prefix():
+    # Absorbing a prefix once and each suffix in place gives the full hash.
+    idx = np.arange(100, dtype=np.uint64)
+    prefix = np.zeros(100, np.uint64)
+    tmp = np.empty_like(prefix)
+    absorb(prefix, idx, tmp)
+    for t in (0, 5):
+        for c in (0, 1):
+            h = prefix.copy()
+            absorb(h, t, tmp)
+            absorb(h, c, tmp)
+            assert np.array_equal(h, mix64_array(idx, t, c))
+    assert mix64_array(-1, idx)[3] == mix64(-1, 3)
 
 
 def test_mix64_golden_values():
@@ -60,15 +78,44 @@ def test_categorical_never_returns_zero_mass_index():
 
 
 def test_categorical_rows_matches_scalar():
-    probs = np.array([[0.5, 0.5, 0.0], [0.1, 0.2, 0.7], [0.0, 0.0, 1.0]])
-    cdf = np.cumsum(probs, axis=1)
-    lp = last_positive(probs)
-    hs = mix64_array(8, np.arange(300, dtype=np.uint64))
-    for r in range(3):
-        batch = categorical_rows(np.broadcast_to(cdf[r], (300, 3)),
-                                 np.full(300, lp[r]), hs)
+    # Zero-mass entries first, in the middle and last; a deterministic row;
+    # dyadic rows whose CDF values a 53-bit draw can hit exactly; a row whose
+    # CDF ends one ulp below 1, so the largest draw needs the clamp.
+    probs = np.array([[0.5, 0.5, 0.0, 0.0], [0.1, 0.2, 0.0, 0.7],
+                      [0.0, 0.0, 1.0, 0.0], [0.0, 0.25, 0.5, 0.25],
+                      [0.25, 0.25, 0.25, 0.25], [0.7, 0.2, 0.1, 0.0]])
+    assert np.cumsum(probs[5])[-1] < 1.0
+    table = draw_tables(probs[None])[0]
+    n = 300
+    hs = mix64_array(8, np.arange(n, dtype=np.uint64))
+    # Hashes whose 53-bit draw lands one step below, on, or just above
+    # each CDF value (on it exactly for the dyadic ones).
+    edges = {min(max(math.floor(c * 2**53) + d, 0), 2**53 - 1)
+             for c in np.cumsum(probs, axis=1).ravel() for d in (-1, 0, 1)}
+    hs = np.concatenate([hs, np.array([x << 11 for x in sorted(edges)]
+                                      + [(1 << 64) - 1], dtype=np.uint64)])
+    for r in range(len(probs)):
+        rows = np.full(len(hs), r)
         scalar = np.array([categorical(probs[r], int(h)) for h in hs])
-        assert np.array_equal(batch, scalar)
+        assert np.array_equal(categorical_rows(table, rows, hs), scalar)
+    rows = np.arange(len(hs)) % len(probs)
+    scalar = [categorical(probs[r], int(h)) for r, h in zip(rows, hs)]
+    assert categorical_rows(table, rows, hs).tolist() == scalar
+
+
+def test_categorical_rows_spans_row_blocks():
+    # More rows than one packed key block holds: every row still draws as
+    # the scalar categorical does. Each row ends in a "never" key, the
+    # largest a block stores.
+    R = rng._BLOCK_ROWS + 5
+    kinds = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    probs = kinds[np.arange(R) % 3]
+    table = draw_tables(probs[None])[0]
+    assert len(table[1]) == 2
+    rows = np.arange(2 * R) % R
+    hs = mix64_array(12, np.arange(2 * R, dtype=np.uint64))
+    scalar = [categorical(probs[r], int(h)) for r, h in zip(rows, hs)]
+    assert categorical_rows(table, rows, hs).tolist() == scalar
 
 
 def test_last_positive():
@@ -79,7 +126,7 @@ def test_last_positive():
 def test_categorical_frequencies():
     row = np.array([0.25, 0.75])
     hs = mix64_array(9, np.arange(20000, dtype=np.uint64))
-    cdf = np.broadcast_to(np.cumsum(row), (20000, 2))
-    draws = categorical_rows(cdf, np.full(20000, 1), hs)
+    draws = categorical_rows(draw_tables(row[None, None])[0],
+                             np.zeros(20000, dtype=np.int64), hs)
     frac = draws.mean()
     assert abs(frac - 0.75) < 3 * np.sqrt(0.25 * 0.75 / 20000) + 1e-3
