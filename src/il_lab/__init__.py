@@ -8,16 +8,16 @@ from .datasets import Dataset, SplitConfig, empirical_occupancy, \
 from .harness import ExperimentConfig, ResultRow, conditional_gap_check, \
     event_probe, fit_slope, load_csv, rows_to_csv, run_cell, run_experiment
 from .instances import MixtureSampler, geometric_reset, make_bc_lb, \
-    make_fan, make_mm_lb, make_two_state_uniform, perturb_policy
+    make_fan, make_mm_lb, make_two_state_uniform
 from .learners import MembershipOracle, ReConfig, bc_train, \
     complement_exact, hybrid_estimate, membership_tabular, mm_train, \
     prefix_weight, re_pipeline, re_train, replay_exact, replay_mc
 from .matching import LpSolution, MatchTarget, brute_force_match, \
     build_match_lp, extract_policy, solve_occupancy_match
-from .mdp import MarkovPolicy, OccupancyMeasures, TabularMdp, Trajectory, \
+from .mdp import MarkovPolicy, OccupancyMeasures, TabularMdp, \
     deterministic_policy, exact_occupancy, l1_layer_distance, load_json, \
     mdp_from_json, mdp_to_json, policy_from_json, policy_to_json, \
-    policy_value, rollout, rollout_batch, save_json
+    policy_value, rollout_batch, save_json
 from .rng import mix64, mix64_array
 
 __version__ = "0.1.0"

@@ -8,22 +8,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import OccupancyMeasures, Trajectory, exact_occupancy, rollout_batch
+from .mdp import OccupancyMeasures, exact_occupancy, rollout_batch
 from .rng import mix64_array
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """states/actions (n,H) integer arrays; provenance is an opaque
-    (instance_id, policy_id, base_seed) triple carried through splits."""
+    """states/actions (n,H) integer arrays, copied and frozen, so that a
+    Dataset never shares memory the caller can write to; provenance is an
+    opaque (instance_id, policy_id, base_seed) triple carried through
+    splits."""
 
     states: np.ndarray
     actions: np.ndarray
     provenance: tuple = ("", "", 0)
 
     def __post_init__(self):
-        s = np.array(self.states, dtype=np.int64)
-        a = np.array(self.actions, dtype=np.int64)
+        self._freeze(np.array(self.states, dtype=np.int64),
+                     np.array(self.actions, dtype=np.int64))
+
+    @classmethod
+    def _adopt(cls, states, actions, provenance):
+        """A Dataset over fresh int64 arrays that no one else can write to,
+        such as rollout_batch's output: they are frozen in place, not
+        copied, and keep their layout."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "provenance", provenance)
+        ds._freeze(states, actions)
+        return ds
+
+    def _freeze(self, s, a):
         if s.ndim != 2 or s.shape != a.shape:
             raise ValueError("states/actions must be matching (n,H) arrays")
         if s.size and (s.min() < 0 or a.min() < 0):
@@ -44,9 +58,6 @@ class Dataset:
     def __len__(self):
         return self.n
 
-    def trajectory(self, i):
-        return Trajectory(self.states[i], self.actions[i])
-
     def subset(self, idx):
         return Dataset(self.states[idx], self.actions[idx], self.provenance)
 
@@ -64,11 +75,12 @@ class SplitConfig:
 
 
 def sample_dataset(mdp, policy, n, seed, instance_id="", policy_id=""):
-    """n rollouts with per-trajectory seeds hash(seed, i); deterministic."""
+    """n rollouts with per-trajectory seeds hash(seed, i); deterministic.
+    The dataset adopts rollout_batch's arrays, (n,H) views in F-order."""
     if n < 1:
         raise ValueError("n must be positive")
     states, actions = rollout_batch(mdp, policy, n, seed)
-    return Dataset(states, actions, (instance_id, policy_id, seed))
+    return Dataset._adopt(states, actions, (instance_id, policy_id, seed))
 
 
 def empirical_occupancy(dataset, S, A):
@@ -84,11 +96,17 @@ def empirical_occupancy(dataset, S, A):
 def cell_sums(states, actions, S, A, weights=None):
     """(H,S,A) sums over the steps of (n,H) states/actions that fall in each
     (t, s, a) cell: step counts, or the sums of an (n,H) weights array. One
-    bincount over the flat (t, s, a) index."""
+    bincount over the flat (t, s, a) index, built in a single buffer laid
+    out as states is. Counts read it in memory order; sums of weights add
+    in row-major step order, whatever the layout."""
     H = states.shape[1]
-    flat = (np.arange(H) * S + states) * A + actions
-    return np.bincount(flat.ravel(),
-                       None if weights is None else np.ravel(weights),
+    flat = states + np.arange(H) * S
+    flat *= A
+    flat += actions
+    if weights is None:
+        return np.bincount(flat.ravel(order="K"), None,
+                           H * S * A).reshape(H, S, A)
+    return np.bincount(flat.ravel(), np.ravel(weights),
                        H * S * A).reshape(H, S, A)
 
 

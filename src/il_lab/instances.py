@@ -11,7 +11,7 @@ State/action index conventions:
 
 import numpy as np
 
-from .mdp import MarkovPolicy, TabularMdp, deterministic_policy
+from .mdp import TabularMdp, deterministic_policy
 from .rng import mix64
 
 
@@ -137,13 +137,3 @@ class MixtureSampler:
         mdp, expert = make_bc_lb(self.bc_states, self.bc_horizon,
                                  self.bc_actions, self.bc_reset, self.bc_seed)
         return "bc-lb", mdp, expert
-
-
-def perturb_policy(policy, gamma, deviation):
-    """(1-gamma) policy + gamma deviation, rowwise; per-row TV to the base
-    policy is at most gamma."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0,1]")
-    if policy.probs.shape != deviation.probs.shape:
-        raise ValueError("policy/deviation dimension mismatch")
-    return MarkovPolicy((1.0 - gamma) * policy.probs + gamma * deviation.probs)

@@ -3,17 +3,18 @@ seeded rollouts. Conventions: steps are 0-based t in [0, H); transitions[t]
 maps step t to t+1 and exists only for t < H-1; probability rows live on the
 last axis, must sum to 1 within 1e-9 (then get renormalized exactly), and
 zero rows are rejected -- absorbing states need explicit self-loops.
-rollout_batch reproduces the scalar rollout bit for bit: it absorbs each
-trajectory's hash prefix once and draws by exact integer CDF thresholds
-(rng.draw_tables) instead of comparing floats."""
+rollout_batch matches the scalar reference rollout (tests/oracles.py) bit
+for bit: it absorbs each trajectory's hash prefix once, and it draws by
+exact integer CDF thresholds instead of comparing floats, most draws as one
+lookup in a row's guide table and the rest by binary search
+(rng.categorical_rows)."""
 
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import (absorb, categorical, categorical_rows, draw_tables, mix64,
-                  mix64_array)
+from .rng import absorb, categorical_rows, draw_tables, mix64_array
 
 ROW_TOL = 1e-9
 VALUE_XCHECK_TOL = 1e-10
@@ -93,29 +94,6 @@ def deterministic_policy(actions, num_actions):
     return MarkovPolicy(p)
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """One episode: states (H,), actions (H,). Rewards are never recorded."""
-
-    states: np.ndarray
-    actions: np.ndarray
-
-    def __post_init__(self):
-        s = np.array(self.states, dtype=np.int64)
-        a = np.array(self.actions, dtype=np.int64)
-        if s.shape != a.shape or s.ndim != 1 or s.size < 1:
-            raise ValueError("states/actions must be equal-length 1-d arrays")
-        if s.min() < 0 or a.min() < 0:
-            raise ValueError("negative indices")
-        for name, arr in (("states", s), ("actions", a)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def steps(self):
-        return list(zip(self.states.tolist(), self.actions.tolist()))
-
-
 _OCC_KINDS = ("exact", "empirical", "weighted")
 
 
@@ -154,36 +132,24 @@ def _check_dims(mdp, policy):
         raise ValueError("mdp/policy dimension mismatch")
 
 
-def rollout(mdp, policy, seed):
-    """One trajectory by ancestral sampling, a pure function of the seed.
-    The state arriving at step t is drawn on stream hash(seed,t,0), the
-    action at step t on hash(seed,t,1). This scalar path is the reference
-    that rollout_batch reproduces bit for bit."""
-    _check_dims(mdp, policy)
-    H = mdp.horizon
-    states = np.empty(H, dtype=np.int64)
-    actions = np.empty(H, dtype=np.int64)
-    s = categorical(mdp.rho, mix64(seed, 0, 0))
-    for t in range(H):
-        a = categorical(policy.probs[t, s], mix64(seed, t, 1))
-        states[t], actions[t] = s, a
-        if t + 1 < H:
-            s = categorical(mdp.transitions[t, s, a], mix64(seed, t + 1, 0))
-    return Trajectory(states, actions)
-
-
 def rollout_batch(mdp, policy, n, seed):
-    """n trajectories as (states, actions) arrays of shape (n,H). Row i is
-    bit-identical to rollout(mdp, policy, mix64(seed, i)). The loop keeps
+    """n trajectories as (states, actions) arrays of shape (n,H), a pure
+    function of the seed. Trajectory i draws on seed s_i = mix64(seed, i):
+    the state arriving at step t (t = 0: the initial state) on stream
+    hash(s_i, t, 0), the action at step t on hash(s_i, t, 1). The loop keeps
     (H, n) buffers and hashes incrementally: trajectory seeds are absorbed
     once per call, t once per step, and the stream tag last, so each step
-    costs three absorb rounds. Each draw is a lookup in an integer
-    threshold table built once per call (rng.draw_tables)."""
+    costs three absorb rounds. Draws come from draw tables built once per
+    call: the policy's, and one per step for the arriving state, whose row
+    s*A + a is P_{t-1}(.|s, a) and whose rows at t = 0 all hold rho (the
+    first state is drawn from row 0)."""
     _check_dims(mdp, policy)
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
-    [start] = draw_tables(mdp.rho[None, None, :])
+    arrivals = np.empty((H, S * A, S))
+    arrivals[0] = mdp.rho
+    arrivals[1:] = mdp.transitions.reshape(H - 1, S * A, S)
+    arrive = draw_tables(arrivals)
     pi = draw_tables(policy.probs)
-    moves = draw_tables(mdp.transitions.reshape(H - 1, S * A, S))
     prefix = np.zeros(n, np.uint64)
     tmp, step, h = (np.empty_like(prefix) for _ in range(3))
     absorb(prefix, mix64_array(seed, np.arange(n, dtype=np.uint64)), tmp)
@@ -195,7 +161,7 @@ def rollout_batch(mdp, policy, n, seed):
         absorb(step, t, tmp)
         np.copyto(h, step)
         absorb(h, 0, tmp)
-        states[t] = categorical_rows(moves[t - 1] if t else start, rows, h)
+        states[t] = categorical_rows(arrive[t], rows, h)
         np.copyto(h, step)
         absorb(h, 1, tmp)
         actions[t] = categorical_rows(pi[t], states[t], h)

@@ -6,8 +6,13 @@ and finish each draw's hash with the rounds that differ.
 
 A draw u = (h >> 11) * 2^-53 is exact, so u >= c holds exactly when
 (h >> 11) >= ceil(c * 2^53). draw_tables turns CDF rows into those integer
-thresholds, packed row by row into sorted uint64 keys, and categorical_rows
-makes each draw one np.searchsorted into them."""
+thresholds, packed row by row into sorted uint64 keys, and gives each row a
+guide table (indexed search, Chen & Asau 1974; Devroye 1986, III.2.4): the
+draw's index for each of 2^8 equal buckets of h's top bits, or -1 where a
+threshold splits the bucket. categorical_rows answers most draws with one
+guide lookup and binary-searches the keys only for the rest. The scalar
+inverse-CDF draw it matches bit for bit is kept with the tests, in
+tests/oracles.py."""
 
 import math
 
@@ -28,6 +33,18 @@ _NEVER = 1 << _BITS
 _BLOCK_ROWS = (1 << (64 - _BITS)) - 1
 _SHIFT = np.uint64(_BITS)
 _DROP = np.uint64(64 - _BITS)
+
+# Guides: a row's 2^53 draws x = h >> 11 split into _BUCKETS equal buckets,
+# bucket b holding the x whose top _GUIDE_BITS bits are b, so that
+# h >> _GUIDE_DROP addresses it. Narrower guides miss more often (bc-lb
+# S=20: 9% of draws at 6 bits, 3% at 8); wider ones cost more to build and
+# measured no faster.
+_GUIDE_BITS = 8
+_BUCKETS = 1 << _GUIDE_BITS
+_BUCKET_SHIFT = np.uint64(_BITS - _GUIDE_BITS)
+_BUCKET_MASK = np.uint64((1 << (_BITS - _GUIDE_BITS)) - 1)
+_GUIDE_DROP = np.uint64(64 - _GUIDE_BITS)
+_MISS = -1
 
 
 def mix64(*vals):
@@ -73,24 +90,8 @@ def mix64_array(*vals):
     return h
 
 
-def unit_double(h):
-    """Hash -> float in [0,1), 53 mantissa bits."""
-    return (int(h) >> 11) * 2.0**-53
-
-
 def unit_double_array(h):
     return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def categorical(row, h):
-    """Inverse-CDF draw from a probability row in stored order. The index is
-    clamped to the last positive-probability entry so u ~ 1 roundoff never
-    selects a zero-mass cell."""
-    u = unit_double(h)
-    cdf = np.cumsum(row)
-    i = int(np.searchsorted(cdf, u, side="right"))
-    last = int(np.flatnonzero(row > 0)[-1])
-    return min(i, last)
 
 
 def last_positive(prob_table):
@@ -103,35 +104,76 @@ def draw_tables(probs):
     """Draw tables for probability rows probs (..., R, k): one table per
     leading index, drawing from its R rows. Entry j of a row holds
     ceil(cdf_j * 2^53), or 2^53 ("never") from the row's last positive
-    entry on, which folds categorical's clamp into the table; the last
-    entry is always "never" and is not stored. A table is (k - 1, blocks),
-    each block the packed keys of up to _BLOCK_ROWS consecutive rows."""
+    entry on, which folds the scalar draw's clamp to that entry into the
+    table; the last entry is always "never" and is not stored. A table is
+    (k - 1, blocks, guide): blocks hold the packed keys of up to
+    _BLOCK_ROWS consecutive rows each, and guide the rows' guides, flat."""
     probs = np.asarray(probs)
     *lead, R, k = probs.shape
     w = k - 1
     cdf = np.cumsum(probs[..., :w], axis=-1)
     thr = np.minimum(np.ceil(cdf * 2.0**_BITS), _NEVER).astype(np.uint64)
     thr[np.arange(w) >= last_positive(probs)[..., None]] = _NEVER
+    L = math.prod(lead)
+    guides = _guides(thr.reshape(L * R, w), k).reshape(L, R << _GUIDE_BITS)
     thr += (np.arange(R) % _BLOCK_ROWS).astype(np.uint64)[:, None] << _SHIFT
-    keys = thr.reshape(math.prod(lead), R * w)
+    keys = thr.reshape(L, R * w)
     return [(w, tuple(step[r * w:(r + _BLOCK_ROWS) * w]
-                      for r in range(0, R, _BLOCK_ROWS)))
-            for step in keys]
+                      for r in range(0, R, _BLOCK_ROWS)), guide)
+            for step, guide in zip(keys, guides)]
+
+
+def _guides(thr, k):
+    """Guide rows for threshold rows thr (rows, k - 1), flat. Entry b of a
+    row is the draw's index for every x = h >> 11 in bucket b, the x whose
+    top _GUIDE_BITS bits are b, or _MISS when a threshold lies strictly
+    inside the bucket. The index at bucket b's low edge counts the
+    thresholds at or below it, those with ceil(thr / bucket width) <= b,
+    so a row is a run of each index in turn; then its inner buckets are
+    marked. The dtype is the narrowest that holds -1 and k - 1."""
+    n, w = thr.shape
+    ceil = ((thr + _BUCKET_MASK) >> _BUCKET_SHIFT).view(np.int64)
+    runs = np.empty((n, k), np.int64)
+    runs[:, :w] = ceil
+    runs[:, w] = _BUCKETS
+    runs[:, 1:] -= ceil
+    index = np.arange(k, dtype=np.min_scalar_type(-k))
+    guide = np.repeat(np.repeat(index[None], n, axis=0), runs.ravel())
+    floor = (thr >> _BUCKET_SHIFT).view(np.int64)
+    inner = floor != ceil
+    floor += (np.arange(n) << _GUIDE_BITS)[:, None]
+    guide[floor[inner]] = _MISS
+    return guide
 
 
 def categorical_rows(table, rows, h_arr):
     """Batch inverse-CDF: draw i comes from row rows[i] of a draw_tables
-    table on hash h_arr[i]. Counts the row's thresholds at or below
-    h >> 11 with one searchsorted; matches categorical() bit for bit. A
-    table of several blocks draws each block's rows on their own."""
-    width, blocks = table
+    table on hash h_arr[i], as the count of the row's thresholds at or
+    below x = h >> 11, bit for bit the scalar inverse-CDF draw. Most draws
+    are one lookup in the row's guide at the top bits of h; only the draws
+    whose bucket a threshold splits fall back to a binary search of the
+    packed keys. Returns the indices in the guide's dtype."""
+    width, blocks, guide = table
+    q = rows << _GUIDE_BITS
+    q |= (h_arr >> _GUIDE_DROP).view(np.int64)
+    out = guide.take(q)
+    miss = np.flatnonzero(out < 0)
+    if miss.size:
+        out[miss] = _search(width, blocks, rows[miss], h_arr[miss])
+    return out
+
+
+def _search(width, blocks, rows, h_arr):
+    """Counts each draw's row thresholds at or below h >> 11 with one
+    searchsorted into the packed keys. A table of several blocks draws
+    each block's rows on their own."""
     if len(blocks) > 1:
         out = np.empty(len(h_arr), np.int64)
         block = rows // _BLOCK_ROWS
         for b, keys in enumerate(blocks):
             sel = block == b
-            out[sel] = categorical_rows((width, (keys,)),
-                                        rows[sel] - b * _BLOCK_ROWS, h_arr[sel])
+            out[sel] = _search(width, (keys,), rows[sel] - b * _BLOCK_ROWS,
+                               h_arr[sel])
         return out
     q = rows.astype(np.uint64)
     q <<= _SHIFT

@@ -27,7 +27,31 @@ def test_sample_shapes_and_provenance():
     assert ds.states.shape == (5, 4) and ds.actions.shape == (5, 4)
     assert ds.n == 5 and len(ds) == 5 and ds.horizon == 4
     assert ds.provenance == ("mm", "expert", 7)
-    assert ds.trajectory(2).states.tolist() == ds.states[2].tolist()
+
+
+def test_sample_keeps_the_sampler_layout_read_only():
+    # The sampler's (n,H) arrays are taken over as they are, in the F-order
+    # that bc_train's per-step counts read fastest, and frozen.
+    mdp, expert = make_mm_lb(4, 100)
+    ds = sample_dataset(mdp, expert, 64, 7)
+    for arr in (ds.states, ds.actions):
+        assert arr.dtype == np.int64 and arr.flags.f_contiguous
+        assert not arr.flags.writeable
+
+
+def test_dataset_does_not_alias_caller_arrays():
+    # Writing to the arrays a Dataset was built from, C- or F-order, leaves
+    # it unchanged.
+    for order in "CF":
+        states = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int64, order=order)
+        actions = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.int64, order=order)
+        ds = Dataset(states, actions)
+        want = (states.copy(), actions.copy())
+        states[:] = 7
+        actions[0, 0] = 9
+        assert np.array_equal(ds.states, want[0])
+        assert np.array_equal(ds.actions, want[1])
+        assert not np.shares_memory(ds.states, states)
 
 
 def test_sample_is_pure():
@@ -90,18 +114,21 @@ def scatter_reference(states, actions, S, A, weights):
 
 
 def test_cell_sums_match_the_scatter_reference():
-    # bincount adds in the reference's order, so the sums agree bit for bit.
+    # bincount adds in the reference's order, so the sums agree bit for bit,
+    # also on F-order steps such as the sampler's.
     S, A, n, H = 5, 3, 400, 6
     u = np.array([mix64(31, i) for i in range(3 * n * H)]) / 2.0**64
     states = (u[:n * H] * S).astype(np.int64).reshape(n, H)
     actions = (u[n * H:2 * n * H] * A).astype(np.int64).reshape(n, H)
     weights = u[2 * n * H:].reshape(n, H)
-    counts = cell_sums(states, actions, S, A)
-    assert counts.dtype == np.int64 and counts.shape == (H, S, A)
-    assert np.array_equal(counts, scatter_reference(states, actions, S, A,
-                                                    np.ones((n, H))))
-    assert np.array_equal(cell_sums(states, actions, S, A, weights),
-                          scatter_reference(states, actions, S, A, weights))
+    ones = np.ones((n, H))
+    for s, a in ((states, actions),
+                 (np.asfortranarray(states), np.asfortranarray(actions))):
+        counts = cell_sums(s, a, S, A)
+        assert counts.dtype == np.int64 and counts.shape == (H, S, A)
+        assert np.array_equal(counts, scatter_reference(s, a, S, A, ones))
+        assert np.array_equal(cell_sums(s, a, S, A, weights),
+                              scatter_reference(s, a, S, A, weights))
 
 
 def test_empirical_single_trajectory():

@@ -4,10 +4,11 @@ from hypothesis import given, strategies as st
 
 from il_lab.acceptance import random_policy
 from il_lab.instances import MixtureSampler, geometric_reset, make_bc_lb, \
-    make_fan, make_mm_lb, make_two_state_uniform, perturb_policy
+    make_fan, make_mm_lb, make_two_state_uniform
 from il_lab.mdp import MarkovPolicy, deterministic_policy, exact_occupancy, \
     policy_value
 from il_lab.rng import mix64
+from oracles import perturb_policy
 
 
 # ------------------------------------------------------------------ mm-lb

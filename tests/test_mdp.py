@@ -7,11 +7,12 @@ from hypothesis import given, strategies as st
 from il_lab.acceptance import random_mdp, random_policy
 from il_lab.instances import make_mm_lb
 from il_lab.mdp import MarkovPolicy, OccupancyMeasures, TabularMdp, \
-    Trajectory, deterministic_policy, exact_occupancy, l1_layer_distance, \
+    deterministic_policy, exact_occupancy, l1_layer_distance, \
     mdp_from_json, mdp_to_json, policy_from_json, policy_to_json, \
-    policy_value, rollout, rollout_batch
+    policy_value, rollout_batch
 from il_lab import rng
 from il_lab.rng import mix64
+from oracles import Trajectory, rollout
 
 
 def one_state_mdp(H):

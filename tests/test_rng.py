@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from il_lab import rng
-from il_lab.rng import absorb, categorical, categorical_rows, draw_tables, \
-    last_positive, mix64, mix64_array, unit_double, unit_double_array
+from il_lab.rng import absorb, categorical_rows, draw_tables, \
+    last_positive, mix64, mix64_array, unit_double_array
+from oracles import categorical, unit_double
 
 
 def test_mix64_matches_vectorized_path():
@@ -116,6 +117,122 @@ def test_categorical_rows_spans_row_blocks():
     hs = mix64_array(12, np.arange(2 * R, dtype=np.uint64))
     scalar = [categorical(probs[r], int(h)) for r, h in zip(rows, hs)]
     assert categorical_rows(table, rows, hs).tolist() == scalar
+
+
+# ------------------------------------------------------------------ guides
+
+BUCKET = 1 << (53 - rng._GUIDE_BITS)
+
+
+def near_cdf(probs):
+    """Hashes whose 53-bit draw lands one step below, on and one above each
+    CDF value of the rows, with the 11 dropped bits set."""
+    xs = {min(max(math.floor(c * 2**53) + d, 0), 2**53 - 1)
+          for c in np.cumsum(probs, axis=1).ravel() for d in (-1, 0, 1)}
+    return np.array([(x << 11) | 0x7FF for x in sorted(xs)], dtype=np.uint64)
+
+
+def assert_rows_match_scalar(probs, rows, hs):
+    """Draws from rows of probs on hashes hs equal the scalar oracle's;
+    returns the draw table."""
+    table = draw_tables(probs[None])[0]
+    got = categorical_rows(table, rows, hs)
+    assert got.tolist() == [categorical(probs[r], int(h))
+                            for r, h in zip(rows, hs)]
+    return table
+
+
+def every_row(probs, hs):
+    """Every (row, hash) pair, row-major."""
+    return np.repeat(np.arange(len(probs)), len(hs)), np.tile(hs, len(probs))
+
+
+def test_guide_draws_at_bucket_edges():
+    # The lowest draw of every bucket and the highest, one below the next
+    # bucket's edge, on rows with thresholds inside buckets and on them.
+    probs = np.array([[0.1, 0.2, 0.0, 0.7], [0.3, 0.3, 0.4, 0.0],
+                      [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 1.0, 0.0],
+                      [0.7, 0.2, 0.1, 0.0]])
+    b = np.arange(rng._BUCKETS, dtype=np.uint64)
+    low = b * np.uint64(BUCKET)
+    high = low + np.uint64(BUCKET - 1)
+    hs = np.concatenate([low << np.uint64(11),
+                         (high << np.uint64(11)) | np.uint64(0x7FF)])
+    assert_rows_match_scalar(probs, *every_row(probs, hs))
+
+
+def test_guide_rows_on_bucket_edges_never_search(monkeypatch):
+    # Dyadic rows put every threshold on a bucket edge, and deterministic
+    # rows put theirs at 0 or "never": each draw is one guide lookup.
+    probs = np.array([[0.25, 0.5, 0.25], [1 / rng._BUCKETS,
+                                          1 - 1 / rng._BUCKETS, 0.0],
+                      [0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+    def no_search(*args):
+        raise AssertionError("a draw searched the keys")
+    monkeypatch.setattr(rng, "_search", no_search)
+    hs = np.concatenate([near_cdf(probs),
+                         mix64_array(13, np.arange(200, dtype=np.uint64))])
+    table = assert_rows_match_scalar(probs, *every_row(probs, hs))
+    assert (table[2] >= 0).all()
+
+
+def test_guide_zero_mass_tails():
+    # Zero-mass entries after the last positive one are never drawn, also
+    # when the CDF ends one ulp below 1 and the largest hash needs the
+    # clamp that draw_tables folds in.
+    probs = np.array([[0.3, 0.7, 0.0, 0.0], [0.1, 0.0, 0.9, 0.0],
+                      [1.0, 0.0, 0.0, 0.0], [0.7, 0.2, 0.1, 0.0]])
+    assert np.cumsum(probs[3])[-1] < 1.0
+    hs = np.concatenate([near_cdf(probs), np.array([(1 << 64) - 1],
+                                                   dtype=np.uint64)])
+    rows, hs = every_row(probs, hs)
+    table = assert_rows_match_scalar(probs, rows, hs)
+    assert (probs[rows, categorical_rows(table, rows, hs)] > 0).all()
+
+
+def test_guide_bucket_holding_several_thresholds():
+    # More thresholds than buckets: some buckets hold several, and every
+    # draw in them falls back to the search.
+    k = 3 * rng._BUCKETS + 1
+    w = (mix64_array(14, np.arange(k, dtype=np.uint64)) % np.uint64(7)
+         ).astype(np.float64) + 1.0
+    probs = (w / w.sum())[None]
+    hs = np.concatenate([near_cdf(probs),
+                         mix64_array(15, np.arange(500, dtype=np.uint64))])
+    table = assert_rows_match_scalar(probs, *every_row(probs, hs))
+    assert (table[2] < 0).mean() > 0.9
+
+
+@pytest.mark.parametrize("k", [128, 129, 300])
+def test_guide_dtype_holds_the_widest_index(k):
+    # All mass on the last two entries: the guide stores k - 2 and k - 1,
+    # which an 8-bit guide could not hold past k = 128.
+    probs = np.zeros((1, k))
+    probs[0, -2:] = 0.5
+    hs = mix64_array(16, np.arange(200, dtype=np.uint64))
+    rows = np.zeros(len(hs), np.int64)
+    table = assert_rows_match_scalar(probs, rows, hs)
+    assert np.iinfo(table[2].dtype).max >= k - 1
+    assert set(categorical_rows(table, rows, hs).tolist()) == {k - 2, k - 1}
+
+
+def test_guide_misses_search_every_block():
+    # Rows on both sides of the packed key blocks' boundary whose thresholds
+    # lie inside buckets: their draws next to a threshold miss the guide
+    # and are searched in their own block.
+    R = rng._BLOCK_ROWS + 5
+    kinds = np.array([[0.3, 0.7, 0.0], [0.6, 0.1, 0.3], [0.0, 0.9, 0.1]])
+    probs = kinds[np.arange(R) % 3]
+    some = np.r_[0:4, rng._BLOCK_ROWS - 3:R]
+    hs = near_cdf(kinds)
+    rows, hs = np.repeat(some, len(hs)), np.tile(hs, len(some))
+    table = assert_rows_match_scalar(probs, rows, hs)
+    assert len(table[1]) == 2
+    bucket = (hs >> np.uint64(64 - rng._GUIDE_BITS)).astype(np.int64)
+    missed = rows[table[2][(rows << rng._GUIDE_BITS) + bucket] < 0]
+    assert (missed < rng._BLOCK_ROWS).any()
+    assert (missed >= rng._BLOCK_ROWS).any()
 
 
 def test_last_positive():
