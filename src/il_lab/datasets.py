@@ -59,7 +59,11 @@ class Dataset:
         return self.n
 
     def subset(self, idx):
-        return Dataset(self.states[idx], self.actions[idx], self.provenance)
+        """The trajectories idx selects. Fancy indexing makes fresh arrays
+        and a basic slice views arrays already frozen, so they are adopted,
+        not copied again."""
+        return Dataset._adopt(self.states[idx], self.actions[idx],
+                              self.provenance)
 
 
 @dataclass(frozen=True)
@@ -125,23 +129,31 @@ def check_dataset(dataset, mdp):
 
 
 def split(dataset, cfg):
-    """Disjoint (D1, D2) by a seeded permutation of trajectory indices."""
+    """Disjoint (D1, D2) by a seeded permutation of trajectory indices: D1
+    holds the n1 trajectories with the smallest keys mix64(split_seed, i),
+    both halves in index order. i -> mix64(split_seed, i) is a bijection on
+    64-bit integers, so the keys never tie and the n1-th smallest key,
+    found by a partial sort, separates the halves. Each array is gathered
+    once, step-major as the sampler lays it out, into one fresh buffer
+    that the two halves view."""
     n = dataset.n
     n1 = int(cfg.frac1 * n + 0.5)
     if n1 < 1 or n - n1 < 1:
         raise ValueError(f"split of n={n} at frac1={cfg.frac1} degenerates")
     keys = mix64_array(cfg.split_seed, np.arange(n, dtype=np.uint64))
-    order = np.argsort(keys, kind="stable")
-    return (dataset.subset(np.sort(order[:n1])),
-            dataset.subset(np.sort(order[n1:])))
+    first = keys <= np.partition(keys, n1 - 1)[n1 - 1]
+    order = np.concatenate([np.flatnonzero(first), np.flatnonzero(~first)])
+    states, actions = (np.take(arr.T, order, axis=1)
+                       for arr in (dataset.states, dataset.actions))
+    return tuple(Dataset._adopt(states[:, part].T, actions[:, part].T,
+                                dataset.provenance)
+                 for part in (slice(n1), slice(n1, n)))
 
 
 def visited_table(dataset, S):
     """(H,S) boolean: state s seen at step t in the dataset."""
-    H = dataset.horizon
-    vis = np.zeros((H, S), dtype=bool)
-    for t in range(H):
-        vis[t, np.unique(dataset.states[:, t])] = True
+    vis = np.zeros((dataset.horizon, S), dtype=bool)
+    vis[np.arange(dataset.horizon), dataset.states] = True
     return vis
 
 

@@ -6,20 +6,27 @@ so runs are order-independent and mixtures pair with single-instance runs.
 
 make_instance and train are the only places that read instance and learner
 configs: every default lives there, and a key nothing reads is an error.
-The CLI goes through the same two functions."""
+The CLI goes through the same two functions.
+
+A grid cell's seeds share one instance: the constructors return the same
+(mdp, expert) for equal arguments, and run_cell evaluates that expert once
+(_expert_value), so per seed only sampling, training and the learned
+policy's value are left."""
 
 import csv
 import io
 import math
 import time
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .datasets import Dataset, sample_dataset
-from .instances import (MixtureSampler, make_bc_lb, make_fan, make_mm_lb,
-                        make_two_state_uniform, geometric_reset)
+from .instances import (INSTANCE_CACHE, MixtureSampler, make_bc_lb,
+                        make_fan, make_mm_lb, make_two_state_uniform,
+                        geometric_reset)
 from .learners import ReConfig, bc_train, mm_train, re_train
 from .mdp import policy_value, rollout_batch
 from .rng import mix64
@@ -86,11 +93,13 @@ def _reject_unread(cfg, what):
 
 
 def _reset_dist(cfg, num_states):
-    kind, ratio = cfg.pop("reset", None), cfg.pop("ratio", 0.5)
+    """The reset distribution of cfg's "reset" kind. Only the geometric
+    reset reads "ratio"; with any other kind the key is left over."""
+    kind = cfg.pop("reset", None)
     if kind in (None, "uniform"):
         return None
     if kind == "geometric":
-        return geometric_reset(num_states - 1, ratio)
+        return geometric_reset(num_states - 1, cfg.pop("ratio", 0.5))
     raise ValueError(f"unknown reset kind {kind!r}")
 
 
@@ -164,7 +173,7 @@ def run_cell(instance_cfg, learner_cfg, H, n_exp, run_seed, seed_index=0,
     t0 = time.perf_counter()
     try:
         learned = train(lid, opts, dataset, mdp)
-        gap = policy_value(mdp, expert) - policy_value(mdp, learned)
+        gap = _expert_value(mdp, expert) - policy_value(mdp, learned)
         status = "ok"
     except RuntimeError:
         gap, status = float("nan"), "numeric-failure"
@@ -172,6 +181,14 @@ def run_cell(instance_cfg, learner_cfg, H, n_exp, run_seed, seed_index=0,
     return ResultRow(instance_cfg["family"], lid, H, mdp.num_states,
                      mdp.num_actions, n_exp, seed_index, gap, status,
                      component, ms)
+
+
+@lru_cache(maxsize=INSTANCE_CACHE)
+def _expert_value(mdp, expert):
+    """policy_value of an instance's expert, one per cached instance, by
+    the identity of the frozen pair: computed on the first seed of a cell,
+    reused on the rest."""
+    return policy_value(mdp, expert)
 
 
 def run_experiment(cfg):

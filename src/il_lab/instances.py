@@ -7,14 +7,26 @@ State/action index conventions:
          has one good action whose index is derived from the construction
          seed (fixed indices would leak to index-biased learners).
   two_state_uniform / fan: action 0 is the expert ("green") action.
-"""
+
+make_mm_lb and make_bc_lb build each instance once: equal arguments of
+equal types return the same frozen (mdp, expert), from a bounded cache, so
+a grid's seeds share one instance per cell, and with it everything cached
+on that instance by identity (draw tables, the match LP, the expert's
+value)."""
+
+from functools import lru_cache
 
 import numpy as np
 
 from .mdp import TabularMdp, deterministic_policy
 from .rng import mix64
 
+# Instances kept per constructor. A grid builds a few distinct instances
+# (one per (H, n_exp) cell at most), each once per seed.
+INSTANCE_CACHE = 32
 
+
+@lru_cache(maxsize=INSTANCE_CACHE, typed=True)
 def make_mm_lb(H, n_exp):
     """2-state 2-action instance on which moment matching pays ~H/sqrt(N).
     rho = (1 - 1/sqrt(n_exp), 1/sqrt(n_exp)); at t=0 every (s,a) except
@@ -52,14 +64,26 @@ def make_bc_lb(num_states, H, num_actions=2, reset_dist=None, seed=0):
     0..S-2 each have one rewarded good action that resets into reset_dist
     over the good states; every other action falls into the bad state S-1
     forever. reset_dist defaults to uniform and is also the initial
-    distribution. Expert value is exactly H."""
+    distribution. Expert value is exactly H. The cache keys reset_dist by
+    its float64 shape and bytes; None stays its own key."""
+    reset_key = None
+    if reset_dist is not None:
+        reset_dist = np.asarray(reset_dist, dtype=np.float64)
+        reset_key = (reset_dist.shape, reset_dist.tobytes())
+    return _bc_lb(num_states, H, num_actions, reset_key, seed)
+
+
+@lru_cache(maxsize=INSTANCE_CACHE, typed=True)
+def _bc_lb(num_states, H, num_actions, reset_key, seed):
     if num_states < 2 or num_actions < 2:
         raise ValueError("need at least 2 states and 2 actions")
     S, A = num_states, num_actions
     n_good = S - 1
-    if reset_dist is None:
+    if reset_key is None:
         reset_dist = np.full(n_good, 1.0 / n_good)
-    reset_dist = np.asarray(reset_dist, dtype=np.float64)
+    else:
+        shape, data = reset_key
+        reset_dist = np.frombuffer(data).reshape(shape)
     if reset_dist.shape != (n_good,) or (reset_dist < 0).any() \
             or abs(reset_dist.sum() - 1.0) > 1e-9:
         raise ValueError("reset_dist must be a probability vector over good states")

@@ -11,6 +11,7 @@ breakpoint at g. Objectives are L1 distances (= 2 TV on probability
 layers); every threshold in this package is L1."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,8 @@ FLOW_TOL = 1e-8
 OBJ_TOL = 1e-8
 UNREACHABLE_MASS = 1e-12
 BRUTE_FORCE_CAP = 10**6
+# Match LPs kept per mdp. A grid cell matches on one instance for every seed.
+LP_CACHE = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +62,11 @@ class LpSolution:
     iterations: int
 
 
+@lru_cache(maxsize=LP_CACHE)
 def build_match_lp(mdp):
     """Dense (A, b): one column per cell d_t(s,a), one row per flow
-    constraint; H*S x H*S*A."""
+    constraint; H*S x H*S*A. Built once per mdp (the frozen mdp is the key)
+    and returned read-only."""
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
     flow = np.zeros((H * S, H * S * A))
     b = np.zeros(H * S)
@@ -74,6 +79,7 @@ def build_match_lp(mdp):
             base = ((t + 1) * S + s2) * A
             flow[ri, base:base + A] = 1.0
             flow[ri, t * S * A:(t + 1) * S * A] -= mdp.transitions[t, :, :, s2].ravel()
+    flow.flags.writeable = b.flags.writeable = False
     return flow, b
 
 

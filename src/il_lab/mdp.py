@@ -7,10 +7,12 @@ rollout_batch matches the scalar reference rollout (tests/oracles.py) bit
 for bit: it absorbs each trajectory's hash prefix once, and it draws by
 exact integer CDF thresholds instead of comparing floats, most draws as one
 lookup in a row's guide table and the rest by binary search
-(rng.categorical_rows)."""
+(rng.categorical_rows). Its draw tables are built once per mdp and once per
+policy: both are frozen, so they are cached by identity."""
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +20,9 @@ from .rng import absorb, categorical_rows, draw_tables, mix64_array
 
 ROW_TOL = 1e-9
 VALUE_XCHECK_TOL = 1e-10
+# Draw tables kept per mdp and per policy. A grid cell rolls out one expert
+# on one instance for every seed.
+TABLE_CACHE = 16
 
 
 def _prob_rows(x, name):
@@ -139,17 +144,12 @@ def rollout_batch(mdp, policy, n, seed):
     hash(s_i, t, 0), the action at step t on hash(s_i, t, 1). The loop keeps
     (H, n) buffers and hashes incrementally: trajectory seeds are absorbed
     once per call, t once per step, and the stream tag last, so each step
-    costs three absorb rounds. Draws come from draw tables built once per
-    call: the policy's, and one per step for the arriving state, whose row
-    s*A + a is P_{t-1}(.|s, a) and whose rows at t = 0 all hold rho (the
-    first state is drawn from row 0)."""
+    costs three absorb rounds. Draws come from the policy's draw tables and
+    the mdp's arrival tables (_arrival_tables), each built once per object."""
     _check_dims(mdp, policy)
-    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
-    arrivals = np.empty((H, S * A, S))
-    arrivals[0] = mdp.rho
-    arrivals[1:] = mdp.transitions.reshape(H - 1, S * A, S)
-    arrive = draw_tables(arrivals)
-    pi = draw_tables(policy.probs)
+    H, A = mdp.horizon, mdp.num_actions
+    arrive = _arrival_tables(mdp)
+    pi = _policy_tables(policy)
     prefix = np.zeros(n, np.uint64)
     tmp, step, h = (np.empty_like(prefix) for _ in range(3))
     absorb(prefix, mix64_array(seed, np.arange(n, dtype=np.uint64)), tmp)
@@ -168,6 +168,23 @@ def rollout_batch(mdp, policy, n, seed):
         np.multiply(states[t], A, out=rows)
         rows += actions[t]
     return states.T, actions.T
+
+
+@lru_cache(maxsize=TABLE_CACHE)
+def _arrival_tables(mdp):
+    """Draw tables for the state arriving at each step: row s*A + a of step
+    t is P_{t-1}(.|s, a), and every row of step 0 holds rho (the first
+    state is drawn from row 0)."""
+    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
+    arrivals = np.empty((H, S * A, S))
+    arrivals[0] = mdp.rho
+    arrivals[1:] = mdp.transitions.reshape(H - 1, S * A, S)
+    return draw_tables(arrivals)
+
+
+@lru_cache(maxsize=TABLE_CACHE)
+def _policy_tables(policy):
+    return draw_tables(policy.probs)
 
 
 def exact_occupancy(mdp, policy):

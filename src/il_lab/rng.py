@@ -107,7 +107,8 @@ def draw_tables(probs):
     entry on, which folds the scalar draw's clamp to that entry into the
     table; the last entry is always "never" and is not stored. A table is
     (k - 1, blocks, guide): blocks hold the packed keys of up to
-    _BLOCK_ROWS consecutive rows each, and guide the rows' guides, flat."""
+    _BLOCK_ROWS consecutive rows each, and guide the rows' guides, flat.
+    The tables come as a tuple of read-only arrays, so they can be shared."""
     probs = np.asarray(probs)
     *lead, R, k = probs.shape
     w = k - 1
@@ -115,12 +116,13 @@ def draw_tables(probs):
     thr = np.minimum(np.ceil(cdf * 2.0**_BITS), _NEVER).astype(np.uint64)
     thr[np.arange(w) >= last_positive(probs)[..., None]] = _NEVER
     L = math.prod(lead)
-    guides = _guides(thr.reshape(L * R, w), k).reshape(L, R << _GUIDE_BITS)
+    guides = _guides(thr.reshape(L * R, w), k)
     thr += (np.arange(R) % _BLOCK_ROWS).astype(np.uint64)[:, None] << _SHIFT
-    keys = thr.reshape(L, R * w)
-    return [(w, tuple(step[r * w:(r + _BLOCK_ROWS) * w]
-                      for r in range(0, R, _BLOCK_ROWS)), guide)
-            for step, guide in zip(keys, guides)]
+    thr.flags.writeable = guides.flags.writeable = False
+    return tuple((w, tuple(step[r * w:(r + _BLOCK_ROWS) * w]
+                           for r in range(0, R, _BLOCK_ROWS)), guide)
+                 for step, guide in zip(thr.reshape(L, R * w),
+                                        guides.reshape(L, R << _GUIDE_BITS)))
 
 
 def _guides(thr, k):

@@ -88,3 +88,44 @@ def test_pool_input_zero_matches_the_reference():
                     problems += [(name, cell, learner, msg)
                                  for msg in wl.mismatches(rec, want, learner)]
     assert not problems
+
+
+def test_traced_bindings_fire_on_a_warm_cache(clear_caches):
+    # The per-instance caches sit inside the traced functions, so a cell
+    # traced again on warm caches opens the same kinds of span and counts
+    # the same draws and LP sizes. Only the expert's policy_value is left
+    # out on a warm cell: it runs once per instance.
+    bc_lb = {"family": "bc-lb", "states": 16, "actions": 2,
+             "reset": "geometric", "ratio": 0.5, "construction_seed": 7}
+    clone = load("workloads").WORKLOADS["bc-lb-clone"].instance
+    H, n = 8, 1024
+    cells = [({"family": "mm-lb"}, "mm", mix64(505, 0), 2, 2),
+             (bc_lb, "re", mix64(515, 0), 16, 2),
+             (clone, "bc", mix64(404, 0), None, None)]
+    for inst, learner, seed, S, A in cells:
+        runs = []
+        for _ in range(2):
+            tracer = load("tracing").Tracer()
+            tracer.install()
+            try:
+                row = harness.run_cell(inst, {"id": learner}, H, n, seed)
+            finally:
+                tracer.remove()
+            assert row.status == "ok"
+            runs.append((tracer, row))
+        (cold, cold_row), (warm, warm_row) = runs
+        assert warm_row.gap == cold_row.gap
+        names = [span[0] for span in warm.spans]
+        assert set(names) == {span[0] for span in cold.spans}
+        for name in ("instances.build", "matching.build_lp",
+                     "matching.crash", "rng.categorical", "mdp.rollout"):
+            assert names.count(name) == [span[0] for span in cold.spans
+                                         ].count(name), (learner, name)
+        assert "instances.build" in names and "rng.categorical" in names
+        assert [names.count("mdp.value"),
+                [span[0] for span in cold.spans].count("mdp.value")] == [1, 2]
+        assert warm.counts["rng.draws"] == 2 * H * n
+        if S is not None:
+            assert warm.counts["matching.lps"] == 1
+            assert warm.counts["matching.lp_rows"] == H * S
+            assert warm.counts["matching.lp_cols"] == H * S * A

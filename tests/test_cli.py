@@ -221,6 +221,17 @@ def test_gen_instance_rejects_a_knob_its_family_does_not_read(tmp_path):
     assert not (tmp_path / "x.mdp.json").exists()
 
 
+@pytest.mark.parametrize("family", ["bc-lb", "mixture"])
+def test_gen_instance_rejects_ratio_without_the_geometric_reset(tmp_path,
+                                                                family):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-instance", "--family", family, "--H", "8", "--ratio",
+              "0.3", "--out", str(tmp_path / "x")])
+    assert exc.value.code == (f"gen-instance: unknown {family} instance "
+                              "keys: ratio")
+    assert not (tmp_path / "x.mdp.json").exists()
+
+
 def test_experiment_round_trip_and_fit(tmp_path, capsys):
     cfg = {"instance": {"family": "mm-lb"}, "learner": {"id": "mm"},
            "grid": {"H": [4], "n_exp": [16, 64]},

@@ -11,7 +11,7 @@ from il_lab.harness import make_instance
 from il_lab.instances import geometric_reset, make_bc_lb, make_fan, \
     make_mm_lb
 from il_lab.mdp import exact_occupancy, l1_layer_distance
-from il_lab.rng import mix64
+from il_lab.rng import mix64, mix64_array
 
 
 def tiny_dataset(rows):
@@ -207,6 +207,56 @@ def test_split_partitions_multiset(seed):
     assert d1.n + d2.n == n
 
 
+def argsort_split(n, cfg):
+    """Trajectory indices of the halves by a full stable argsort of the
+    keys: the n1 smallest to D1, both halves in index order."""
+    n1 = int(cfg.frac1 * n + 0.5)
+    order = np.argsort(mix64_array(cfg.split_seed,
+                                   np.arange(n, dtype=np.uint64)),
+                       kind="stable")
+    return np.sort(order[:n1]), np.sort(order[n1:])
+
+
+def test_split_matches_the_argsort_reference():
+    mdp, expert = make_bc_lb(8, 5, 2, geometric_reset(7, 0.5), 1)
+    full = sample_dataset(mdp, expert, 400, 4, "bc-lb", "expert")
+    sizes = set()
+    for n in (2, 3, 7, 10, 64, 257, 400):
+        # The sampler's step-major layout and a row-major copy.
+        for ds in (full.subset(np.arange(n)),
+                   Dataset(full.states[:n], full.actions[:n],
+                           full.provenance)):
+            for frac1 in (0.05, 0.1, 0.3, 0.5, 0.9, 0.95):
+                for seed in range(4):
+                    cfg = SplitConfig(frac1, mix64(31, n, seed))
+                    n1 = int(frac1 * n + 0.5)
+                    if n1 < 1 or n1 > n - 1:
+                        continue
+                    sizes.add((n1 == 1, n1 == n - 1))
+                    for half, idx in zip(split(ds, cfg),
+                                         argsort_split(n, cfg)):
+                        assert np.array_equal(half.states, ds.states[idx])
+                        assert np.array_equal(half.actions, ds.actions[idx])
+                        assert half.provenance == ds.provenance
+                        assert not half.states.flags.writeable
+                        assert not half.actions.flags.writeable
+    # n1 = 1 and n1 = n - 1 were both among the cases.
+    assert {(True, False), (False, True)} <= sizes
+
+
+def test_subset_shares_no_memory_a_caller_can_write():
+    states = np.arange(12, dtype=np.int64).reshape(4, 3) % 3
+    ds = Dataset(states, states % 2)
+    for idx in (np.array([2, 0]), np.array([True, False, True, True]),
+                slice(1, 3)):
+        sub = ds.subset(idx)
+        assert np.array_equal(sub.states, ds.states[idx])
+        assert not sub.states.flags.writeable
+        assert not np.shares_memory(sub.states, states)
+    states[:] = 0
+    assert ds.subset(slice(None)).states.any()
+
+
 def test_split_rejects_degenerate():
     ds = tiny_dataset([[(0, 0)]])
     with pytest.raises(ValueError):
@@ -256,6 +306,20 @@ def test_visited_table():
     ds = tiny_dataset([[(0, 0), (2, 1)], [(0, 1), (0, 0)]])
     vis = visited_table(ds, 3)
     assert vis.tolist() == [[True, False, False], [True, False, True]]
+
+
+def test_visited_table_matches_the_per_step_reference():
+    mdp, expert = make_bc_lb(12, 5, 2, geometric_reset(11, 0.5), 0)
+    datasets = [sample_dataset(mdp, expert, n, mix64(32, n))
+                for n in (1, 2, 50, 1000)]
+    datasets.append(tiny_dataset([[(3, 0), (3, 1), (3, 0)]] * 4))
+    for ds in datasets:
+        ref = np.zeros((ds.horizon, 12), dtype=bool)
+        for t in range(ds.horizon):
+            ref[t, np.unique(ds.states[:, t])] = True
+        assert np.array_equal(visited_table(ds, 12), ref)
+    # The last dataset visits state 3 alone.
+    assert visited_table(datasets[-1], 12).sum(axis=1).tolist() == [1, 1, 1]
 
 
 # ------------------------------------------------------------------ jsonl

@@ -8,7 +8,7 @@ from il_lab.datasets import SplitConfig, sample_dataset
 from il_lab.harness import CSV_COLUMNS, ExperimentConfig, ResultRow, \
     conditional_gap_check, event_probe, fit_slope, load_csv, make_instance, \
     rows_to_csv, run_cell, run_experiment, train
-from il_lab.instances import make_mm_lb
+from il_lab.instances import geometric_reset, make_bc_lb, make_mm_lb
 from il_lab.learners import ReConfig, re_train
 from il_lab.mdp import policy_value
 from il_lab.rng import mix64
@@ -131,6 +131,25 @@ def test_every_family_rejects_an_unknown_key(family, H):
     with pytest.raises(ValueError,
                        match=f"^unknown {family} instance keys: sates$"):
         make_instance({"family": family, "sates": 4}, H, 16, 0)
+
+
+@pytest.mark.parametrize("family", ["bc-lb", "mixture"])
+@pytest.mark.parametrize("reset", [None, "uniform"])
+def test_ratio_without_the_geometric_reset_is_rejected(family, reset):
+    # Only the geometric reset reads "ratio"; with any other reset the key
+    # would be dropped unread.
+    cfg = {"family": family, "ratio": 0.3}
+    if reset:
+        cfg["reset"] = reset
+    with pytest.raises(ValueError,
+                       match=f"^unknown {family} instance keys: ratio$"):
+        make_instance(cfg, 8, 100, 0)
+
+
+def test_ratio_reaches_the_geometric_reset():
+    _, mdp, _ = make_instance({"family": "bc-lb", "states": 6,
+                               "reset": "geometric", "ratio": 0.3}, 4, 100, 0)
+    assert mdp is make_bc_lb(6, 4, 2, geometric_reset(5, 0.3), 0)[0]
 
 
 @pytest.mark.parametrize("learner,what,key", [
@@ -290,3 +309,54 @@ def test_mm_gap_magnitude_on_rare_start_instance():
     assert gaps.min() >= -1e-12
     assert gaps.max() <= 7.0 / 64.0 + 1e-9
     assert 0.028 <= gaps.mean() <= 0.056
+
+
+# ----------------------------------------------------------------- caches
+
+def table_rows(cfg):
+    return [(r.instance, r.learner, r.H, r.n_exp, r.seed, r.component,
+             r.status, r.gap.hex()) for r in run_experiment(cfg)]
+
+
+def test_rows_are_the_same_with_caches_cold_and_warm(clear_caches,
+                                                     monkeypatch):
+    # A small grid shaped like criterion 4 and a small mixture grid, run
+    # with warm caches and then with every cache emptied before each seed.
+    bc_lb = {"family": "bc-lb", "states": 20, "actions": 2,
+             "reset": "geometric", "ratio": 0.5, "construction_seed": 0}
+    mixture = {"family": "mixture", "states": 16, "actions": 2,
+               "reset": "geometric", "ratio": 0.5, "construction_seed": 7,
+               "mixture_seed": 0}
+    cfgs = [ExperimentConfig(bc_lb, {"id": "bc"},
+                             {"H": [8, 16], "n_exp": [64, 256]},
+                             {"count": 3, "base": 121})]
+    cfgs += [ExperimentConfig(mixture, {"id": lid},
+                              {"H": [8], "n_exp": [64, 256]},
+                              {"count": 4, "base": 515})
+             for lid in ("bc", "mm", "re")]
+    warm = [table_rows(cfg) for cfg in cfgs]
+    assert warm == [table_rows(cfg) for cfg in cfgs]
+    run_cell = harness.run_cell
+
+    def cold_cell(*args, **kwargs):
+        clear_caches()
+        return run_cell(*args, **kwargs)
+    monkeypatch.setattr(harness, "run_cell", cold_cell)
+    assert warm == [table_rows(cfg) for cfg in cfgs]
+    assert all(row[6] == "ok" for rows in warm for row in rows)
+    assert {row[5] for row in warm[1]} == {"mm-lb", "bc-lb"}
+
+
+def test_expert_value_is_computed_once_per_instance(clear_caches,
+                                                    monkeypatch):
+    calls = []
+
+    def counted(mdp, policy):
+        calls.append(policy)
+        return policy_value(mdp, policy)
+    monkeypatch.setattr(harness, "policy_value", counted)
+    _, _, expert = make_instance({"family": "mm-lb"}, 4, 16, 0)
+    for seed in range(3):
+        run_cell({"family": "mm-lb"}, {"id": "bc"}, 4, 16, seed)
+    assert len(calls) == 4
+    assert sum(policy is expert for policy in calls) == 1

@@ -196,6 +196,59 @@ def test_mixture_components_match_direct_constructors():
     assert seen == {"mm-lb", "bc-lb"}
 
 
+# ------------------------------------------------------------------ cache
+
+def same(a, b):
+    return a[0] is b[0] and a[1] is b[1]
+
+
+def test_equal_arguments_build_one_instance(clear_caches):
+    assert same(make_mm_lb(6, 64), make_mm_lb(6, 64))
+    # reset_dist is keyed by its float64 bytes: an equal array built anew,
+    # or the same values as a list, is the same key.
+    a = make_bc_lb(8, 5, 2, geometric_reset(7, 0.3), 4)
+    assert same(a, make_bc_lb(8, 5, 2, geometric_reset(7, 0.3), 4))
+    assert same(a, make_bc_lb(8, 5, 2, list(geometric_reset(7, 0.3)), 4))
+    assert same(make_bc_lb(8, 5), make_bc_lb(8, 5, 2, None, 0))
+    sampler = MixtureSampler(5, 8, 16, 8, 2, geometric_reset(15), 7)
+    for i in range(6):
+        assert same(sampler.draw(i, 256)[1:], sampler.draw(i, 256)[1:])
+
+
+def test_different_arguments_build_different_instances(clear_caches):
+    mm = make_mm_lb(6, 64)
+    assert not same(mm, make_mm_lb(6, 65))
+    assert not same(mm, make_mm_lb(7, 64))
+    bc = make_bc_lb(8, 5, 2, geometric_reset(7, 0.3), 4)
+    others = [make_bc_lb(8, 5, 2, geometric_reset(7, 0.3), 5),
+              make_bc_lb(8, 5, 2, geometric_reset(7, 0.4), 4),
+              make_bc_lb(8, 5, 3, geometric_reset(7, 0.3), 4),
+              make_bc_lb(8, 5, 2, None, 4)]
+    for other in others:
+        assert not same(bc, other)
+    # None stays its own key, apart from the uniform array it stands for.
+    uniform = make_bc_lb(8, 5, 2, np.full(7, 1 / 7), 4)
+    assert not same(others[-1], uniform)
+    assert np.array_equal(others[-1][0].transitions, uniform[0].transitions)
+
+
+def test_bad_arguments_raise_on_a_warm_cache(clear_caches):
+    make_bc_lb(4, 4)
+    make_mm_lb(4, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            make_bc_lb(4, 4, reset_dist=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            make_mm_lb(3, 1)
+
+
+def test_cached_instances_are_read_only(clear_caches):
+    for mdp, expert in (make_mm_lb(5, 16), make_bc_lb(6, 4, 3, None, 1)):
+        for arr in (mdp.rho, mdp.transitions, mdp.rewards, expert.probs):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0.5
+
+
 # ---------------------------------------------------------------- perturb
 
 def test_perturb_endpoints():

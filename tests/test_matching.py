@@ -71,6 +71,21 @@ def test_match_lp_blocks():
             assert not rest.any()
 
 
+def test_match_lp_is_built_once_and_read_only(clear_caches):
+    mdp = random_mdp(mix64(97), 3, 2, 4)
+    Amat, b = build_match_lp(mdp)
+    assert build_match_lp(mdp) is build_match_lp(mdp)
+    for arr in (Amat, b):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # Another mdp with the same data is another key (its rows are
+    # renormalized again, so its LP may differ in the last bit).
+    twin = TabularMdp(mdp.horizon, mdp.num_states, mdp.num_actions,
+                      mdp.rho, mdp.transitions, mdp.rewards)
+    assert build_match_lp(twin)[0] is not Amat
+    assert np.abs(build_match_lp(twin)[0] - Amat).max() <= 1e-15
+
+
 def test_crash_basis_is_feasible():
     mdp, _ = bc_lb_targets()
     for m in (mdp, random_mdp(mix64(96), 3, 2, 4), make_mm_lb(8, 1024)[0]):

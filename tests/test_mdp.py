@@ -10,7 +10,7 @@ from il_lab.mdp import MarkovPolicy, OccupancyMeasures, TabularMdp, \
     deterministic_policy, exact_occupancy, l1_layer_distance, \
     mdp_from_json, mdp_to_json, policy_from_json, policy_to_json, \
     policy_value, rollout_batch
-from il_lab import rng
+from il_lab import mdp as mdp_module, rng
 from il_lab.rng import mix64
 from oracles import Trajectory, rollout
 
@@ -170,6 +170,26 @@ def test_rollout_batch_past_one_key_block():
         mdp, random_policy(mix64(25), S, A, 3), 200, 26)
     rows = states[:, :-1] * A + actions[:, :-1]
     assert (rows < rng._BLOCK_ROWS).any() and (rows >= rng._BLOCK_ROWS).any()
+
+
+def test_draw_tables_are_built_once_and_read_only(clear_caches):
+    mdp = random_mdp(mix64(27), 4, 3, 5)
+    pol = random_policy(mix64(28), 4, 3, 5)
+    cold = rollout_batch(mdp, pol, 300, 29)
+    arrive = mdp_module._arrival_tables(mdp)
+    pi = mdp_module._policy_tables(pol)
+    warm = rollout_batch(mdp, pol, 300, 29)
+    assert all(np.array_equal(c, w) for c, w in zip(cold, warm))
+    assert mdp_module._arrival_tables(mdp) is arrive
+    assert mdp_module._policy_tables(pol) is pi
+    # An equal policy is another object, with tables of its own.
+    twin = MarkovPolicy(pol.probs)
+    assert mdp_module._policy_tables(twin) is not pi
+    for table in arrive + pi:
+        _, blocks, guide = table
+        for arr in (*blocks, guide):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 def test_initial_state_frequency():
