@@ -88,7 +88,10 @@ def _cmd_fit(args):
     where = {}
     if args.filter:
         for clause in args.filter.split(","):
-            k, _, v = clause.partition("=")
+            k, eq, v = clause.partition("=")
+            if not eq:
+                raise ValueError(f"filter clause {clause!r} is not "
+                                 "column=value")
             where[k.strip()] = v.strip()
     slope, stderr = fit_slope(rows, where or None, x=args.x)
     print(f"slope={slope:.6f} stderr={stderr:.6f}")

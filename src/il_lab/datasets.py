@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import OccupancyMeasures, exact_occupancy, rollout_batch
+from .mdp import OccupancyMeasures, exact_occupancy, require_keys, \
+    rollout_batch
 from .rng import mix64_array
 
 
@@ -181,6 +182,7 @@ def load_dataset(path):
     with open(path) as fh:
         header = json.loads(fh.readline())
         rows = [json.loads(line) for line in fh if line.strip()]
+    require_keys(header, ("n", "H", "provenance"), "dataset header")
     if len(rows) != header["n"]:
         raise ValueError("trajectory count disagrees with header")
     H = header["H"]

@@ -223,10 +223,22 @@ def rows_to_csv(rows, path=None):
 
 
 def load_csv(path):
+    """The rows of a rows_to_csv file; a missing column, or a line with
+    fewer fields than the header, raises ValueError."""
     with open(path) as fh:
-        return [ResultRow(**{f.name: f.type(rec[f.name])
-                             for f in fields(ResultRow)})
-                for rec in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        found = reader.fieldnames or ()
+        missing = [c for c in CSV_COLUMNS if c not in found]
+        if missing:
+            raise ValueError(f"{path}: missing columns {', '.join(missing)}")
+        rows = []
+        for rec in reader:
+            if None in rec.values():
+                raise ValueError(f"{path}: line {reader.line_num} has fewer "
+                                 "fields than the header")
+            rows.append(ResultRow(**{f.name: f.type(rec[f.name])
+                                     for f in fields(ResultRow)}))
+        return rows
 
 
 # ------------------------------------------------------------- event probe
@@ -310,7 +322,12 @@ def conditional_gap_check(n_exp, H, n_datasets, seed, coeff=DEFAULT_E3_COEFF):
 
 def fit_slope(rows, where=None, x="n_exp"):
     """OLS slope of log(mean gap) on log(x) with stderr from residuals.
-    Requires >= 3 grid points, each the mean of >= 100 ok rows."""
+    Requires >= 3 grid points, each the mean of >= 100 ok rows. where
+    keeps the rows whose columns equal its values; a key that is not a
+    ResultRow column raises ValueError."""
+    unknown = sorted(set(where or ()) - set(CSV_COLUMNS))
+    if unknown:
+        raise ValueError(f"unknown filter columns: {', '.join(unknown)}")
     groups = {}
     for r in rows:
         rec = r if isinstance(r, dict) else r.__dict__

@@ -6,7 +6,7 @@ zero rows are rejected -- absorbing states need explicit self-loops.
 rollout_batch matches the scalar reference rollout (tests/oracles.py) bit
 for bit: it absorbs each trajectory's hash prefix once, and it draws by
 exact integer CDF thresholds instead of comparing floats, most draws as one
-lookup in a row's guide table and the rest by binary search
+lookup in a row's guide table and the rest by counting the row's thresholds
 (rng.categorical_rows). Its draw tables are built once per mdp and once per
 policy: both are frozen, so they are cached by identity."""
 
@@ -240,7 +240,20 @@ def mdp_to_json(mdp):
     }
 
 
+def require_keys(doc, keys, what):
+    """Raises ValueError unless the parsed JSON doc is an object holding
+    every one of keys; the message names what was read and what is
+    missing."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what}: not a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValueError(f"{what}: missing keys {', '.join(missing)}")
+
+
 def mdp_from_json(doc):
+    require_keys(doc, ("horizon", "num_states", "num_actions", "rho",
+                       "transitions", "rewards"), "instance")
     return TabularMdp(
         horizon=int(doc["horizon"]),
         num_states=int(doc["num_states"]),
@@ -260,6 +273,7 @@ def policy_to_json(policy):
 
 
 def policy_from_json(doc):
+    require_keys(doc, ("probs",), "policy")
     return MarkovPolicy(np.array(doc["probs"], dtype=np.float64))
 
 

@@ -6,13 +6,12 @@ and finish each draw's hash with the rounds that differ.
 
 A draw u = (h >> 11) * 2^-53 is exact, so u >= c holds exactly when
 (h >> 11) >= ceil(c * 2^53). draw_tables turns CDF rows into those integer
-thresholds, packed row by row into sorted uint64 keys, and gives each row a
-guide table (indexed search, Chen & Asau 1974; Devroye 1986, III.2.4): the
-draw's index for each of 2^8 equal buckets of h's top bits, or -1 where a
-threshold splits the bucket. categorical_rows answers most draws with one
-guide lookup and binary-searches the keys only for the rest. The scalar
-inverse-CDF draw it matches bit for bit is kept with the tests, in
-tests/oracles.py."""
+thresholds and gives each row a guide table (indexed search, Chen & Asau
+1974; Devroye 1986, III.2.4): the draw's index for each of 2^8 equal
+buckets of h's top bits, or -1 where a threshold splits the bucket.
+categorical_rows answers most draws with one guide lookup and counts the
+row's own thresholds only for the rest. The scalar inverse-CDF draw it
+matches bit for bit is kept with the tests, in tests/oracles.py."""
 
 import math
 
@@ -25,13 +24,10 @@ _MIX2 = 0x94D049BB133111EB
 _G, _M1, _M2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
-# Threshold keys: (row << 53) + ceil(cdf * 2^53), a threshold of 2^53 never
-# being reached by a 53-bit draw. A block packs at most _BLOCK_ROWS rows, so
-# its largest key, _BLOCK_ROWS << 53, stays below 2^64.
+# Thresholds: ceil(cdf * 2^53), a threshold of 2^53 never being reached by
+# a 53-bit draw.
 _BITS = 53
 _NEVER = 1 << _BITS
-_BLOCK_ROWS = (1 << (64 - _BITS)) - 1
-_SHIFT = np.uint64(_BITS)
 _DROP = np.uint64(64 - _BITS)
 
 # Guides: a row's 2^53 draws x = h >> 11 split into _BUCKETS equal buckets,
@@ -106,9 +102,8 @@ def draw_tables(probs):
     ceil(cdf_j * 2^53), or 2^53 ("never") from the row's last positive
     entry on, which folds the scalar draw's clamp to that entry into the
     table; the last entry is always "never" and is not stored. A table is
-    (k - 1, blocks, guide): blocks hold the packed keys of up to
-    _BLOCK_ROWS consecutive rows each, and guide the rows' guides, flat.
-    The tables come as a tuple of read-only arrays, so they can be shared."""
+    (thr, guide): thr the (R, k - 1) uint64 thresholds, and guide the rows'
+    guides, flat. Both arrays are read-only, so the tables can be shared."""
     probs = np.asarray(probs)
     *lead, R, k = probs.shape
     w = k - 1
@@ -117,12 +112,9 @@ def draw_tables(probs):
     thr[np.arange(w) >= last_positive(probs)[..., None]] = _NEVER
     L = math.prod(lead)
     guides = _guides(thr.reshape(L * R, w), k)
-    thr += (np.arange(R) % _BLOCK_ROWS).astype(np.uint64)[:, None] << _SHIFT
     thr.flags.writeable = guides.flags.writeable = False
-    return tuple((w, tuple(step[r * w:(r + _BLOCK_ROWS) * w]
-                           for r in range(0, R, _BLOCK_ROWS)), guide)
-                 for step, guide in zip(thr.reshape(L, R * w),
-                                        guides.reshape(L, R << _GUIDE_BITS)))
+    return tuple(zip(thr.reshape(L, R, w),
+                     guides.reshape(L, R << _GUIDE_BITS)))
 
 
 def _guides(thr, k):
@@ -153,33 +145,14 @@ def categorical_rows(table, rows, h_arr):
     table on hash h_arr[i], as the count of the row's thresholds at or
     below x = h >> 11, bit for bit the scalar inverse-CDF draw. Most draws
     are one lookup in the row's guide at the top bits of h; only the draws
-    whose bucket a threshold splits fall back to a binary search of the
-    packed keys. Returns the indices in the guide's dtype."""
-    width, blocks, guide = table
+    whose bucket a threshold splits count their row's thresholds. Returns
+    the indices in the guide's dtype."""
+    thr, guide = table
     q = rows << _GUIDE_BITS
     q |= (h_arr >> _GUIDE_DROP).view(np.int64)
     out = guide.take(q)
     miss = np.flatnonzero(out < 0)
     if miss.size:
-        out[miss] = _search(width, blocks, rows[miss], h_arr[miss])
+        x = h_arr[miss] >> _DROP
+        out[miss] = (thr[rows[miss]] <= x[:, None]).sum(axis=1)
     return out
-
-
-def _search(width, blocks, rows, h_arr):
-    """Counts each draw's row thresholds at or below h >> 11 with one
-    searchsorted into the packed keys. A table of several blocks draws
-    each block's rows on their own."""
-    if len(blocks) > 1:
-        out = np.empty(len(h_arr), np.int64)
-        block = rows // _BLOCK_ROWS
-        for b, keys in enumerate(blocks):
-            sel = block == b
-            out[sel] = _search(width, (keys,), rows[sel] - b * _BLOCK_ROWS,
-                               h_arr[sel])
-        return out
-    q = rows.astype(np.uint64)
-    q <<= _SHIFT
-    q |= h_arr >> _DROP
-    idx = np.searchsorted(blocks[0], q, side="right")
-    idx -= rows * width
-    return idx

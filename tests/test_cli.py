@@ -5,7 +5,7 @@ import pytest
 
 from il_lab.cli import main
 from il_lab.datasets import load_dataset
-from il_lab.harness import load_csv, make_instance
+from il_lab.harness import CSV_COLUMNS, load_csv, make_instance
 from il_lab.instances import make_mm_lb
 from il_lab.mdp import load_json, mdp_from_json, policy_from_json, \
     policy_value, rollout_batch
@@ -163,6 +163,46 @@ def test_missing_files_and_config_keys_end_in_a_message(tmp_path):
     assert not (tmp_path / "p.json").exists()
 
 
+CSV_HEADER = ",".join(CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("kind,text,message", [
+    ("instance", '{"horizon": 4}', "train: instance: missing keys "
+     "num_states, num_actions, rho, transitions, rewards"),
+    ("instance", "[4, 2, 2]", "train: instance: not a JSON object"),
+    ("policy", '{"horizon": 4, "num_states": 2}',
+     "gen-dataset: policy: missing keys probs"),
+    ("dataset", '{"n": 0, "provenance": []}\n',
+     "train: dataset header: missing keys H"),
+    ("dataset", "[0, 4]\n", "train: dataset header: not a JSON object"),
+    ("csv", CSV_HEADER.replace(",H,", ",")
+     + "\nsyn,syn,2,2,10,0,0.5,ok,syn,0.000\n",
+     "fit: {path}: missing columns H"),
+    ("csv", CSV_HEADER + "\nsyn,syn,4,2\n",
+     "fit: {path}: line 2 has fewer fields than the header"),
+], ids=["instance-keys", "instance-list", "policy-keys", "dataset-keys",
+        "dataset-list", "csv-columns", "csv-short-line"])
+def test_malformed_files_end_in_a_message(tmp_path, kind, text, message):
+    # A file that parses but lacks what its reader needs is rejected by
+    # name, not with a KeyError or TypeError traceback.
+    prefix = gen_instance(tmp_path)
+    data = gen_dataset(tmp_path, prefix)
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(text)
+    mdp, pol = f"{prefix}.mdp.json", f"{prefix}.policy.json"
+    train = ["train", "--learner", "bc", "--out", str(tmp_path / "p.json")]
+    argv = {"instance": train + ["--instance", str(bad), "--dataset",
+                                 str(data)],
+            "policy": ["gen-dataset", "--instance", mdp, "--policy",
+                       str(bad), "--n", "4", "--out",
+                       str(tmp_path / "d.jsonl")],
+            "dataset": train + ["--instance", mdp, "--dataset", str(bad)],
+            "csv": ["fit", "--in", str(bad)]}[kind]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == message.format(path=bad)
+
+
 def test_gen_instance_uses_the_experiment_defaults(tmp_path):
     # No knob given: the mixture's bc-lb component is the one an
     # experiment's {"family": "mixture"} builds (construction seed 7).
@@ -269,6 +309,23 @@ def test_fit_command_reads_back_csv(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "slope=-1.000000" in out
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("lerner=syn", "fit: unknown filter columns: lerner"),
+    ("learner", "fit: filter clause 'learner' is not column=value"),
+    ("learner=syn, H", "fit: filter clause ' H' is not column=value"),
+], ids=["unknown-column", "no-equals", "second-clause-no-equals"])
+def test_fit_rejects_a_bad_filter(tmp_path, spec, message):
+    # Each of these used to filter out every row and end in "need >= 3
+    # grid points, have 0", which names neither the clause nor the column.
+    path = tmp_path / "rows.csv"
+    path.write_text(CSV_HEADER + "\n" + "".join(
+        f"syn,syn,4,2,2,{n},{s},{1.0 / n!r},ok,syn,0.000\n"
+        for n in (10, 100, 1000) for s in range(100)))
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--in", str(path), "--filter", spec])
+    assert exc.value.code == message
 
 
 def test_probe_events_prints_json(capsys):

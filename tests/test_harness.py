@@ -278,6 +278,8 @@ def test_fit_slope_error_cases():
         fit_slope(synthetic_rows(lambda n: 1.0 / n, seeds=50))
     with pytest.raises(ValueError):
         fit_slope(synthetic_rows(lambda n: 0.0))
+    with pytest.raises(ValueError, match="unknown filter columns: lerner"):
+        fit_slope(synthetic_rows(lambda n: 1.0 / n), where={"lerner": "syn"})
     failed = synthetic_rows(lambda n: 1.0 / n)
     failed = [ResultRow(r.instance, r.learner, r.H, r.S, r.A, r.n_exp, r.seed,
                         float("nan"), "numeric-failure", r.component)

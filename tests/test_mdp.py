@@ -10,7 +10,7 @@ from il_lab.mdp import MarkovPolicy, OccupancyMeasures, TabularMdp, \
     deterministic_policy, exact_occupancy, l1_layer_distance, \
     mdp_from_json, mdp_to_json, policy_from_json, policy_to_json, \
     policy_value, rollout_batch
-from il_lab import mdp as mdp_module, rng
+from il_lab import mdp as mdp_module
 from il_lab.rng import mix64
 from oracles import Trajectory, rollout
 
@@ -161,15 +161,15 @@ def test_rollout_batch_single_trajectory_single_step():
 
 
 def test_rollout_batch_past_one_key_block():
-    # S*A transition rows exceed what one packed key block holds, so the
-    # draws of one step fall in two blocks.
+    # S*A = 2100 transition rows, more than the 2047 whose keys
+    # (row << 53) + threshold fit in one uint64: draws of one step land on
+    # rows on both sides of that limit.
     S, A = 700, 3
-    assert S * A > rng._BLOCK_ROWS
     mdp = random_mdp(mix64(24), S, A, 3)
     states, actions = assert_batch_matches_scalar(
         mdp, random_policy(mix64(25), S, A, 3), 200, 26)
     rows = states[:, :-1] * A + actions[:, :-1]
-    assert (rows < rng._BLOCK_ROWS).any() and (rows >= rng._BLOCK_ROWS).any()
+    assert (rows < 2047).any() and (rows >= 2047).any()
 
 
 def test_draw_tables_are_built_once_and_read_only(clear_caches):
@@ -185,9 +185,8 @@ def test_draw_tables_are_built_once_and_read_only(clear_caches):
     # An equal policy is another object, with tables of its own.
     twin = MarkovPolicy(pol.probs)
     assert mdp_module._policy_tables(twin) is not pi
-    for table in arrive + pi:
-        _, blocks, guide = table
-        for arr in (*blocks, guide):
+    for thr, guide in arrive + pi:
+        for arr in (thr, guide):
             with pytest.raises(ValueError):
                 arr[0] = 0
 

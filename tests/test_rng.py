@@ -104,15 +104,19 @@ def test_categorical_rows_matches_scalar():
     assert categorical_rows(table, rows, hs).tolist() == scalar
 
 
+# The most rows whose keys (row << 53) + threshold fit in 64 bits: a table
+# with more rows than this cannot be one sorted uint64 key array.
+KEY_ROWS = 2047
+
+
 def test_categorical_rows_spans_row_blocks():
-    # More rows than one packed key block holds: every row still draws as
-    # the scalar categorical does. Each row ends in a "never" key, the
-    # largest a block stores.
-    R = rng._BLOCK_ROWS + 5
+    # More rows than one packed uint64 key array could index: every row
+    # still draws as the scalar categorical does. Each row ends in a
+    # "never" threshold, 2^53.
+    R = KEY_ROWS + 5
     kinds = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     probs = kinds[np.arange(R) % 3]
     table = draw_tables(probs[None])[0]
-    assert len(table[1]) == 2
     rows = np.arange(2 * R) % R
     hs = mix64_array(12, np.arange(2 * R, dtype=np.uint64))
     scalar = [categorical(probs[r], int(h)) for r, h in zip(rows, hs)]
@@ -161,20 +165,17 @@ def test_guide_draws_at_bucket_edges():
     assert_rows_match_scalar(probs, *every_row(probs, hs))
 
 
-def test_guide_rows_on_bucket_edges_never_search(monkeypatch):
+def test_guide_rows_on_bucket_edges_never_search():
     # Dyadic rows put every threshold on a bucket edge, and deterministic
-    # rows put theirs at 0 or "never": each draw is one guide lookup.
+    # rows put theirs at 0 or "never": no guide entry is a miss, so each
+    # draw is one guide lookup.
     probs = np.array([[0.25, 0.5, 0.25], [1 / rng._BUCKETS,
                                           1 - 1 / rng._BUCKETS, 0.0],
                       [0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-
-    def no_search(*args):
-        raise AssertionError("a draw searched the keys")
-    monkeypatch.setattr(rng, "_search", no_search)
     hs = np.concatenate([near_cdf(probs),
                          mix64_array(13, np.arange(200, dtype=np.uint64))])
-    table = assert_rows_match_scalar(probs, *every_row(probs, hs))
-    assert (table[2] >= 0).all()
+    _, guide = assert_rows_match_scalar(probs, *every_row(probs, hs))
+    assert (guide >= 0).all()
 
 
 def test_guide_zero_mass_tails():
@@ -193,15 +194,15 @@ def test_guide_zero_mass_tails():
 
 def test_guide_bucket_holding_several_thresholds():
     # More thresholds than buckets: some buckets hold several, and every
-    # draw in them falls back to the search.
+    # draw in them falls back to counting the row's thresholds.
     k = 3 * rng._BUCKETS + 1
     w = (mix64_array(14, np.arange(k, dtype=np.uint64)) % np.uint64(7)
          ).astype(np.float64) + 1.0
     probs = (w / w.sum())[None]
     hs = np.concatenate([near_cdf(probs),
                          mix64_array(15, np.arange(500, dtype=np.uint64))])
-    table = assert_rows_match_scalar(probs, *every_row(probs, hs))
-    assert (table[2] < 0).mean() > 0.9
+    _, guide = assert_rows_match_scalar(probs, *every_row(probs, hs))
+    assert (guide < 0).mean() > 0.9
 
 
 @pytest.mark.parametrize("k", [128, 129, 300])
@@ -213,26 +214,25 @@ def test_guide_dtype_holds_the_widest_index(k):
     hs = mix64_array(16, np.arange(200, dtype=np.uint64))
     rows = np.zeros(len(hs), np.int64)
     table = assert_rows_match_scalar(probs, rows, hs)
-    assert np.iinfo(table[2].dtype).max >= k - 1
+    assert np.iinfo(table[1].dtype).max >= k - 1
     assert set(categorical_rows(table, rows, hs).tolist()) == {k - 2, k - 1}
 
 
 def test_guide_misses_search_every_block():
-    # Rows on both sides of the packed key blocks' boundary whose thresholds
-    # lie inside buckets: their draws next to a threshold miss the guide
-    # and are searched in their own block.
-    R = rng._BLOCK_ROWS + 5
+    # Rows on both sides of row KEY_ROWS whose thresholds lie inside
+    # buckets: their draws next to a threshold miss the guide and count
+    # their own row's thresholds.
+    R = KEY_ROWS + 5
     kinds = np.array([[0.3, 0.7, 0.0], [0.6, 0.1, 0.3], [0.0, 0.9, 0.1]])
     probs = kinds[np.arange(R) % 3]
-    some = np.r_[0:4, rng._BLOCK_ROWS - 3:R]
+    some = np.r_[0:4, KEY_ROWS - 3:R]
     hs = near_cdf(kinds)
     rows, hs = np.repeat(some, len(hs)), np.tile(hs, len(some))
-    table = assert_rows_match_scalar(probs, rows, hs)
-    assert len(table[1]) == 2
+    _, guide = assert_rows_match_scalar(probs, rows, hs)
     bucket = (hs >> np.uint64(64 - rng._GUIDE_BITS)).astype(np.int64)
-    missed = rows[table[2][(rows << rng._GUIDE_BITS) + bucket] < 0]
-    assert (missed < rng._BLOCK_ROWS).any()
-    assert (missed >= rng._BLOCK_ROWS).any()
+    missed = rows[guide[(rows << rng._GUIDE_BITS) + bucket] < 0]
+    assert (missed < KEY_ROWS).any()
+    assert (missed >= KEY_ROWS).any()
 
 
 def test_last_positive():
