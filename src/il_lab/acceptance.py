@@ -311,8 +311,7 @@ def criterion_7():
         a_worst = max(a_worst, float((dev - bound).max()))
 
     ds_b = sample_dataset(mdp, expert, 256, mix64(711, 1))
-    cfg_ones = ReConfig(split=SplitConfig(0.5, mix64(711, 2)),
-                        oracle_override="ones")
+    cfg_ones = ReConfig(split_seed=mix64(711, 2), oracle_override="ones")
     pipe1 = re_pipeline(ds_b, mdp, cfg_ones)
     dj_ones = abs(policy_value(mdp, pipe1["policy"])
                   - policy_value(mdp, pipe1["bc"]))
@@ -320,8 +319,7 @@ def criterion_7():
                and np.array_equal(pipe1["target"].g,
                                   pipe1["replay"].d))
 
-    cfg_zeros = ReConfig(split=SplitConfig(0.5, mix64(711, 2)),
-                         oracle_override="zeros")
+    cfg_zeros = ReConfig(split_seed=mix64(711, 2), oracle_override="zeros")
     pipe0 = re_pipeline(ds_b, mdp, cfg_zeros)
     d2 = pipe0["d2"]
     # The value identity needs D2's start-1 frequency at or above the true
@@ -490,8 +488,8 @@ def _prop_bit_reproducible():
     m1 = replay_mc(mdp, bc, orc, 500, 917).d
     m2 = replay_mc(mdp, bc, orc, 500, 917).d
     ok &= np.array_equal(m1, m2)
-    p1 = re_train(ds1, mdp, ReConfig(split=SplitConfig(0.5, 916)))
-    p2 = re_train(ds2, mdp, ReConfig(split=SplitConfig(0.5, 916)))
+    p1 = re_train(ds1, mdp, ReConfig(split_seed=916))
+    p2 = re_train(ds2, mdp, ReConfig(split_seed=916))
     ok &= np.array_equal(p1.probs, p2.probs)
     return bool(ok), "rollout, sampling, split, mc replay, re_train all bit-stable"
 

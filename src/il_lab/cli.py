@@ -11,8 +11,8 @@ import sys
 from . import acceptance
 from .datasets import check_dataset, load_dataset, sample_dataset, \
     save_dataset
-from .harness import ExperimentConfig, event_probe, fit_slope, load_csv, \
-    make_instance, rows_to_csv, run_experiment, train
+from .harness import DEFAULT_E3_COEFF, ExperimentConfig, event_probe, \
+    fit_slope, load_csv, make_instance, rows_to_csv, run_experiment, train
 from .mdp import load_json, mdp_from_json, mdp_to_json, policy_from_json, \
     policy_to_json, policy_value, save_json
 
@@ -159,7 +159,7 @@ def build_parser():
     pe.add_argument("--H", type=int, required=True)
     pe.add_argument("--datasets", type=int, required=True)
     pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--coeff", type=float, default=0.5,
+    pe.add_argument("--coeff", type=float, default=DEFAULT_E3_COEFF,
                     help="deviation coefficient in the third event")
     pe.set_defaults(func=_cmd_probe_events)
 

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import OccupancyMeasures, exact_occupancy, require_keys, \
-    rollout_batch
+from .mdp import OccupancyMeasures, exact_occupancy, require_ints, \
+    require_keys, rollout_batch
 from .rng import mix64_array
 
 
@@ -71,8 +71,8 @@ class Dataset:
 class SplitConfig:
     """frac1 in (0,1); |D1| = round-half-up(frac1 * n)."""
 
-    frac1: float = 0.5
-    split_seed: int = 0
+    frac1: float
+    split_seed: int
 
     def __post_init__(self):
         if not 0.0 < self.frac1 < 1.0:
@@ -183,9 +183,9 @@ def load_dataset(path):
         header = json.loads(fh.readline())
         rows = [json.loads(line) for line in fh if line.strip()]
     require_keys(header, ("n", "H", "provenance"), "dataset header")
-    if len(rows) != header["n"]:
+    n, H = require_ints(header, ("n", "H"), "dataset header")
+    if len(rows) != n:
         raise ValueError("trajectory count disagrees with header")
-    H = header["H"]
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != H:
             raise ValueError(f"trajectory {i}: expected {H} (state, action) "

@@ -24,9 +24,8 @@ from itertools import product
 import numpy as np
 
 from .datasets import Dataset, sample_dataset
-from .instances import (INSTANCE_CACHE, MixtureSampler, make_bc_lb,
-                        make_fan, make_mm_lb, make_two_state_uniform,
-                        geometric_reset)
+from .instances import (INSTANCE_CACHE, make_bc_lb, make_fan, make_mm_lb,
+                        make_two_state_uniform, geometric_reset)
 from .learners import ReConfig, bc_train, mm_train, re_train
 from .mdp import policy_value, rollout_batch
 from .rng import mix64
@@ -121,13 +120,15 @@ def make_instance(inst_cfg, H, n_exp, draw_index):
     elif family == "fan":
         out = (family, *make_fan(cfg.pop("states", 4), H))
     elif family == "mixture":
+        # A fair coin per draw between mm-lb and this bc-lb; every key is
+        # read whichever component is drawn.
         S = cfg.pop("states", 16)
-        sampler = MixtureSampler(
-            cfg.pop("mixture_seed", 0),
-            mm_horizon=H, bc_states=S, bc_horizon=H,
-            bc_actions=cfg.pop("actions", 2), bc_reset=_reset_dist(cfg, S),
-            bc_seed=cfg.pop("construction_seed", 7))
-        out = sampler.draw(draw_index, n_exp)
+        bc_args = (S, H, cfg.pop("actions", 2), _reset_dist(cfg, S),
+                   cfg.pop("construction_seed", 7))
+        if mix64(cfg.pop("mixture_seed", 0), draw_index) & 1 == 0:
+            out = ("mm-lb", *make_mm_lb(H, n_exp))
+        else:
+            out = ("bc-lb", *make_bc_lb(*bc_args))
     else:
         raise ValueError(f"unknown instance family {family!r}")
     _reject_unread(cfg, f"{family} instance")
@@ -136,8 +137,8 @@ def make_instance(inst_cfg, H, n_exp, draw_index):
 
 def train(learner, options, dataset, mdp):
     """The learner dispatch: bc reads tie_rule, mm reads nothing, re reads
-    a ReConfig mapping (ReConfig.from_dict). A key the learner does not
-    read raises ValueError naming it."""
+    the ReConfig fields. A key the learner does not read raises ValueError
+    naming it."""
     opts = dict(options)
     if learner == "bc":
         tie_rule = opts.pop("tie_rule", "lowest")
@@ -148,7 +149,9 @@ def train(learner, options, dataset, mdp):
         _reject_unread(opts, "mm config")
         return mm_train(dataset, mdp)
     if learner == "re":
-        return re_train(dataset, mdp, ReConfig.from_dict(opts))
+        _reject_unread(opts.keys() - {f.name for f in fields(ReConfig)},
+                       "replay-estimation config")
+        return re_train(dataset, mdp, ReConfig(**opts))
     raise ValueError(f"unknown learner {learner!r}")
 
 
@@ -330,12 +333,12 @@ def fit_slope(rows, where=None, x="n_exp"):
         raise ValueError(f"unknown filter columns: {', '.join(unknown)}")
     groups = {}
     for r in rows:
-        rec = r if isinstance(r, dict) else r.__dict__
-        if rec["status"] != "ok":
+        if r.status != "ok":
             continue
-        if where and any(str(rec.get(k)) != str(v) for k, v in where.items()):
+        if where and any(str(getattr(r, k)) != str(v)
+                         for k, v in where.items()):
             continue
-        groups.setdefault(rec[x], []).append(rec["gap"])
+        groups.setdefault(getattr(r, x), []).append(r.gap)
     pts = sorted(groups.items())
     if len(pts) < 3:
         raise ValueError(f"need >= 3 grid points, have {len(pts)}")

@@ -138,26 +138,3 @@ def make_fan(n, H):
     mdp = TabularMdp(H, S, A, rho, P, r)
     return mdp, deterministic_policy(np.zeros((H, S), dtype=np.int64), A)
 
-
-class MixtureSampler:
-    """Fair-coin chooser between mm_lb and bc_lb. draw(i, n_exp) is a pure
-    function of (seed, i, n_exp) and returns (component_tag, mdp, expert);
-    n_exp parameterizes the mm_lb component (its rho depends on it)."""
-
-    def __init__(self, seed, mm_horizon, bc_states, bc_horizon, bc_actions,
-                 bc_reset, bc_seed):
-        self.seed = seed
-        self.mm_horizon = mm_horizon
-        self.bc_states = bc_states
-        self.bc_horizon = bc_horizon
-        self.bc_actions = bc_actions
-        self.bc_reset = bc_reset
-        self.bc_seed = bc_seed
-
-    def draw(self, i, n_exp):
-        if mix64(self.seed, i) & 1 == 0:
-            mdp, expert = make_mm_lb(self.mm_horizon, n_exp)
-            return "mm-lb", mdp, expert
-        mdp, expert = make_bc_lb(self.bc_states, self.bc_horizon,
-                                 self.bc_actions, self.bc_reset, self.bc_seed)
-        return "bc-lb", mdp, expert

@@ -8,7 +8,7 @@ over states strictly before t (empty product 1 at t=0). The alternative that
 includes the current state is exposed via include_current for sensitivity
 checks, not used by defaults."""
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +16,8 @@ from .datasets import SplitConfig, cell_sums, empirical_occupancy, split, \
     visited_table
 from .matching import MatchTarget, extract_policy, solve_occupancy_match
 from .mdp import MarkovPolicy, OccupancyMeasures, exact_occupancy, rollout_batch
+
+TIE_RULES = ("lowest", "uniform")
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,13 +45,15 @@ class MembershipOracle:
 
 @dataclass(frozen=True)
 class ReConfig:
-    """Replay-estimation knobs. replay_mode "exact" is the infinite-replay
-    default; "mc" uses n_replay seeded rollouts. use_full_data switches the
-    empirical side from D2 to all of D. oracle_override in {None, "ones",
-    "zeros"} substitutes a constant membership table (estimator identity
-    tests). include_current flips the prefix-weight convention."""
+    """Replay-estimation knobs. frac1 and split_seed make the D1/D2 split.
+    replay_mode "exact" is the infinite-replay default; "mc" uses n_replay
+    seeded rollouts. use_full_data switches the empirical side from D2 to
+    all of D. oracle_override in {None, "ones", "zeros"} substitutes a
+    constant membership table (estimator identity tests). include_current
+    flips the prefix-weight convention."""
 
-    split: SplitConfig = field(default_factory=SplitConfig)
+    frac1: float = 0.5
+    split_seed: int = 0
     replay_mode: str = "exact"
     n_replay: int = 1000
     replay_seed: int = 0
@@ -59,6 +63,8 @@ class ReConfig:
     include_current: bool = False
 
     def __post_init__(self):
+        SplitConfig(self.frac1, self.split_seed)  # raises on a bad frac1
+        _check_tie_rule(self.tie_rule)
         if self.replay_mode not in ("exact", "mc"):
             raise ValueError("replay_mode must be 'exact' or 'mc'")
         if self.replay_mode == "mc" and self.n_replay < 1:
@@ -66,21 +72,10 @@ class ReConfig:
         if self.oracle_override not in (None, "ones", "zeros"):
             raise ValueError("oracle_override must be None, 'ones' or 'zeros'")
 
-    @classmethod
-    def from_dict(cls, doc):
-        """ReConfig from a flat mapping: frac1 and split_seed make the split,
-        every other key names a field. Unknown keys raise ValueError."""
-        if not isinstance(doc, dict):
-            raise ValueError("replay-estimation config must be a mapping")
-        known = {"frac1", "split_seed"} | {f.name for f in fields(cls)
-                                          if f.name != "split"}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ValueError("unknown replay-estimation config keys: "
-                             + ", ".join(unknown))
-        opts = dict(doc)
-        split = SplitConfig(opts.pop("frac1", 0.5), opts.pop("split_seed", 0))
-        return cls(split=split, **opts)
+
+def _check_tie_rule(tie_rule):
+    if tie_rule not in TIE_RULES:
+        raise ValueError("tie_rule must be 'lowest' or 'uniform'")
 
 
 def bc_train(dataset, S, A, H, tie_rule="lowest"):
@@ -89,8 +84,7 @@ def bc_train(dataset, S, A, H, tie_rule="lowest"):
     spreads over the argmax set."""
     if dataset.n == 0:
         raise ValueError("empty dataset")
-    if tie_rule not in ("lowest", "uniform"):
-        raise ValueError("tie_rule must be 'lowest' or 'uniform'")
+    _check_tie_rule(tie_rule)
     counts = cell_sums(dataset.states, dataset.actions, S, A)
     probs = np.empty((H, S, A))
     seen = counts.sum(axis=2) > 0
@@ -227,7 +221,7 @@ def re_pipeline(dataset, mdp, cfg):
     """Full replay-estimation pipeline with intermediates exposed:
     returns dict(d1, d2, oracle, bc, replay, target, solution, policy)."""
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
-    d1, d2 = split(dataset, cfg.split)
+    d1, d2 = split(dataset, SplitConfig(cfg.frac1, cfg.split_seed))
     if cfg.oracle_override == "ones":
         oracle = MembershipOracle.ones(H, S)
     elif cfg.oracle_override == "zeros":

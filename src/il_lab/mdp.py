@@ -251,17 +251,27 @@ def require_keys(doc, keys, what):
         raise ValueError(f"{what}: missing keys {', '.join(missing)}")
 
 
+def require_ints(doc, keys, what):
+    """The values of keys in the parsed JSON doc, each of which must be a
+    JSON integer: null, a boolean, a string or a number such as 4.0 or 4.7
+    raises ValueError naming the key."""
+    for k in keys:
+        if type(doc[k]) is not int:
+            raise ValueError(f"{what}: {k} must be an integer, got "
+                             f"{json.dumps(doc[k])}")
+    return [doc[k] for k in keys]
+
+
 def mdp_from_json(doc):
     require_keys(doc, ("horizon", "num_states", "num_actions", "rho",
                        "transitions", "rewards"), "instance")
+    H, S, A = require_ints(doc, ("horizon", "num_states", "num_actions"),
+                           "instance")
     return TabularMdp(
-        horizon=int(doc["horizon"]),
-        num_states=int(doc["num_states"]),
-        num_actions=int(doc["num_actions"]),
+        horizon=H, num_states=S, num_actions=A,
         rho=np.array(doc["rho"], dtype=np.float64),
-        transitions=np.array(doc["transitions"], dtype=np.float64).reshape(
-            int(doc["horizon"]) - 1, int(doc["num_states"]),
-            int(doc["num_actions"]), int(doc["num_states"])),
+        transitions=np.array(doc["transitions"],
+                             dtype=np.float64).reshape(H - 1, S, A, S),
         rewards=np.array(doc["rewards"], dtype=np.float64),
     )
 

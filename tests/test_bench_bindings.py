@@ -3,8 +3,9 @@ reads their arguments and results (perfbench/tracing.py), and its output
 check captures the dataset and the learned policy at harness's bindings
 (perfbench/workloads.py). A renamed binding or a changed signature would
 silently zero its per-layer metrics or blind the check; this runs one LP
-cell of each kind and one sampling cell under the tracer and checks they
-count, and runs pool input 0 of every workload through the output check."""
+cell of each kind, one sampling cell and mixture cells under the tracer and
+checks they count, and runs pool input 0 of every workload through the
+output check."""
 
 import importlib.util
 import json
@@ -129,3 +130,43 @@ def test_traced_bindings_fire_on_a_warm_cache(clear_caches):
             assert warm.counts["matching.lps"] == 1
             assert warm.counts["matching.lp_rows"] == H * S
             assert warm.counts["matching.lp_cols"] == H * S * A
+
+
+
+def test_traced_mixture_cells_show_their_instance_build():
+    # A mixture cell builds its drawn component through harness's own
+    # make_mm_lb or make_bc_lb binding, so the traced run sees the build as
+    # an instances.build span; the geometric reset opens one more.
+    mixture = {"family": "mixture", "states": 16, "reset": "geometric",
+               "construction_seed": 7}
+    components = set()
+    for draw in range(6):
+        tracer = load("tracing").Tracer()
+        calls = []
+
+        def spy(attr, traced):
+            def call(*args):
+                start = len(tracer.spans)
+                out = traced(*args)
+                calls.append((attr, [s[0] for s in tracer.spans[start:]]))
+                return out
+            return call
+        tracer.install()
+        traced = {attr: getattr(harness, attr)
+                  for attr in ("make_mm_lb", "make_bc_lb")}
+        try:
+            for attr, fn in traced.items():
+                setattr(harness, attr, spy(attr, fn))
+            row = harness.run_cell(mixture, {"id": "mm"}, 8, 256,
+                                   mix64(99, draw), draw_index=draw)
+        finally:
+            for attr, fn in traced.items():
+                setattr(harness, attr, fn)
+            tracer.remove()
+        assert row.status == "ok"
+        drawn = {"mm-lb": "make_mm_lb", "bc-lb": "make_bc_lb"}[row.component]
+        assert calls == [(drawn, ["instances.build"])]
+        names = [span[0] for span in tracer.spans]
+        assert names.count("instances.build") == 2
+        components.add(row.component)
+    assert components == {"mm-lb", "bc-lb"}

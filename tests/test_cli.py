@@ -114,6 +114,8 @@ def test_bad_input_ends_in_a_message(tmp_path):
     data = gen_dataset(tmp_path, prefix)
     cfg_path = tmp_path / "typo.json"
     cfg_path.write_text(json.dumps({"frac": 0.3}))
+    pairs_path = tmp_path / "pairs.json"
+    pairs_path.write_text(json.dumps([["frac1", 0.3]]))
     train = ["train", "--learner", "re", "--instance", f"{prefix}.mdp.json",
              "--dataset", str(data), "--out", str(tmp_path / "p.json"),
              "--config"]
@@ -129,6 +131,8 @@ def test_bad_input_ends_in_a_message(tmp_path):
          "train: unknown replay-estimation config keys: frac"),
         (train + ['{"frac1": 0.3'],
          "train: Expecting ',' delimiter: line 1 column 14 (char 13)"),
+        (train + [str(pairs_path)],
+         "train: --config must hold a JSON object"),
     ]
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
@@ -201,6 +205,39 @@ def test_malformed_files_end_in_a_message(tmp_path, kind, text, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == message.format(path=bad)
+
+
+@pytest.mark.parametrize("value", [None, 4.7, 4.0, "4", True],
+                         ids=["null", "fraction", "float", "string", "true"])
+@pytest.mark.parametrize("kind,key", [("instance", "horizon"),
+                                      ("instance", "num_states"),
+                                      ("instance", "num_actions"),
+                                      ("dataset", "n"), ("dataset", "H")])
+def test_integer_fields_must_be_json_integers(tmp_path, kind, key, value):
+    # Not int(): that reads 4.7 as 4, "4" as 4 and true as 1, and turns
+    # null into a TypeError traceback.
+    prefix = gen_instance(tmp_path)
+    data = gen_dataset(tmp_path, prefix, n=4)
+    mdp = f"{prefix}.mdp.json"
+    if kind == "instance":
+        doc = load_json(mdp)
+        doc[key] = value
+        mdp = tmp_path / "bad.mdp.json"
+        mdp.write_text(json.dumps(doc))
+        what = "instance"
+    else:
+        header, *lines = data.read_text().splitlines(keepends=True)
+        doc = json.loads(header)
+        doc[key] = value
+        data = tmp_path / "bad.jsonl"
+        data.write_text(json.dumps(doc) + "\n" + "".join(lines))
+        what = "dataset header"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--learner", "bc", "--instance", str(mdp),
+              "--dataset", str(data), "--out", str(tmp_path / "p.json")])
+    assert exc.value.code == (f"train: {what}: {key} must be an integer, "
+                              f"got {json.dumps(value)}")
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_gen_instance_uses_the_experiment_defaults(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ def test_re_learner_keys():
     mdp, expert = make_mm_lb(4, 64)
     seed = mix64(3, 0, 0)
     ds = sample_dataset(mdp, expert, 64, mix64(seed, 1))
-    learned = re_train(ds, mdp, ReConfig(SplitConfig(0.9, mix64(seed, 2)),
+    learned = re_train(ds, mdp, ReConfig(frac1=0.9, split_seed=mix64(seed, 2),
                                          replay_seed=mix64(seed, 3)))
     row = run_cell({"family": "mm-lb"}, {"id": "re", "frac1": 0.9}, 4, 64,
                    seed)
@@ -123,6 +124,31 @@ def test_re_learner_keys():
     for key in ("split_seed", "replay_seed"):
         with pytest.raises(ValueError, match=f"{key} are derived"):
             run_cell({"family": "mm-lb"}, {"id": "re", key: 1}, 4, 64, seed)
+
+
+def test_train_builds_re_config_from_its_fields():
+    # re reads exactly the ReConfig fields, by name: train's options are
+    # ReConfig(**options). A bad key or value is rejected as the config is
+    # built, before the dataset or the instance is read.
+    mdp, expert = make_mm_lb(4, 64)
+    ds = sample_dataset(mdp, expert, 64, 5)
+    doc = {"frac1": 0.3, "split_seed": 5, "replay_mode": "mc", "n_replay": 20,
+           "replay_seed": 6, "use_full_data": True, "tie_rule": "uniform",
+           "oracle_override": "ones", "include_current": True}
+    assert set(doc) == {f.name for f in fields(ReConfig)}
+    assert ReConfig(**doc) == ReConfig(0.3, 5, "mc", 20, 6, True, "uniform",
+                                       "ones", True)
+    for opts, cfg in ((doc, ReConfig(**doc)), ({}, ReConfig())):
+        assert np.array_equal(train("re", opts, ds, mdp).probs,
+                              re_train(ds, mdp, cfg).probs)
+    for opts, message in (({"frac": 0.3, "seed": 1, "n_replay": 3},
+                           "^unknown replay-estimation config keys: "
+                           "frac, seed$"),
+                          ({"split": SplitConfig(0.3, 5)}, "keys: split$"),
+                          ({"frac1": 1.5}, "frac1"),
+                          ({"tie_rule": "highest"}, "tie_rule")):
+        with pytest.raises(ValueError, match=message):
+            train("re", opts, None, None)
 
 
 @pytest.mark.parametrize("family,H", [("mm-lb", 4), ("bc-lb", 4), ("fan", 4),

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from il_lab.acceptance import random_policy
-from il_lab.instances import MixtureSampler, geometric_reset, make_bc_lb, \
-    make_fan, make_mm_lb, make_two_state_uniform
+from il_lab.harness import make_instance
+from il_lab.instances import geometric_reset, make_bc_lb, make_fan, \
+    make_mm_lb, make_two_state_uniform
 from il_lab.mdp import MarkovPolicy, deterministic_policy, exact_occupancy, \
     policy_value
 from il_lab.rng import mix64
@@ -164,31 +165,36 @@ def test_fan_sink_absorbs():
 
 # ---------------------------------------------------------------- mixture
 
+def mixture(seed, states=16, construction_seed=7, **knobs):
+    return {"family": "mixture", "mixture_seed": seed, "states": states,
+            "construction_seed": construction_seed, **knobs}
+
+
 def test_mixture_draws_are_pure():
-    sampler = MixtureSampler(5, 8, 16, 8, 2, None, 7)
-    tag_a, mdp_a, pol_a = sampler.draw(12, 256)
-    tag_b, mdp_b, pol_b = sampler.draw(12, 256)
+    tag_a, mdp_a, pol_a = make_instance(mixture(5), 8, 256, 12)
+    tag_b, mdp_b, pol_b = make_instance(mixture(5), 8, 256, 12)
     assert tag_a == tag_b
     assert np.array_equal(mdp_a.transitions, mdp_b.transitions)
     assert np.array_equal(pol_a.probs, pol_b.probs)
 
 
 def test_mixture_is_roughly_fair():
-    sampler = MixtureSampler(9, 8, 16, 8, 2, None, 7)
-    tags = [sampler.draw(i, 64)[0] for i in range(4000)]
+    tags = [make_instance(mixture(9), 8, 64, i)[0] for i in range(4000)]
     frac_mm = tags.count("mm-lb") / 4000
     assert abs(frac_mm - 0.5) <= 0.025
     assert set(tags) == {"mm-lb", "bc-lb"}
 
 
 def test_mixture_components_match_direct_constructors():
-    sampler = MixtureSampler(3, 6, 5, 8, 2, None, 2)
+    # The draw is the low bit of mix64(mixture_seed, draw index); both
+    # components take the cell's horizon.
     seen = set()
     for i in range(40):
-        tag, mdp, expert = sampler.draw(i, 81)
+        tag, mdp, expert = make_instance(mixture(3, 5, 2), 8, 81, i)
         seen.add(tag)
+        assert tag == ("mm-lb", "bc-lb")[mix64(3, i) & 1]
         if tag == "mm-lb":
-            ref = make_mm_lb(6, 81)
+            ref = make_mm_lb(8, 81)
         else:
             ref = make_bc_lb(5, 8, 2, None, 2)
         assert np.array_equal(mdp.transitions, ref[0].transitions)
@@ -210,9 +216,10 @@ def test_equal_arguments_build_one_instance(clear_caches):
     assert same(a, make_bc_lb(8, 5, 2, geometric_reset(7, 0.3), 4))
     assert same(a, make_bc_lb(8, 5, 2, list(geometric_reset(7, 0.3)), 4))
     assert same(make_bc_lb(8, 5), make_bc_lb(8, 5, 2, None, 0))
-    sampler = MixtureSampler(5, 8, 16, 8, 2, geometric_reset(15), 7)
+    geometric = mixture(5, reset="geometric")
     for i in range(6):
-        assert same(sampler.draw(i, 256)[1:], sampler.draw(i, 256)[1:])
+        assert same(make_instance(geometric, 8, 256, i)[1:],
+                    make_instance(geometric, 8, 256, i)[1:])
 
 
 def test_different_arguments_build_different_instances(clear_caches):

@@ -3,7 +3,8 @@ import pytest
 
 from il_lab.datasets import Dataset, SplitConfig, empirical_occupancy, \
     sample_dataset, split
-from il_lab.instances import make_mm_lb, make_two_state_uniform
+from il_lab.instances import geometric_reset, make_bc_lb, make_mm_lb, \
+    make_two_state_uniform
 from il_lab.learners import MembershipOracle, ReConfig, \
     _prefix_weights_batch, bc_train, complement_exact, hybrid_estimate, \
     membership_tabular, mm_train, prefix_weight, re_pipeline, re_train, \
@@ -233,7 +234,7 @@ def test_complement_routes_match_on_self_distribution():
 def test_re_pipeline_exposes_consistent_intermediates():
     mdp, expert = make_mm_lb(8, 256)
     ds = sample_dataset(mdp, expert, 256, 31)
-    out = re_pipeline(ds, mdp, ReConfig(split=SplitConfig(0.5, 7)))
+    out = re_pipeline(ds, mdp, ReConfig(split_seed=7))
     assert out["d1"].n + out["d2"].n == 256
     assert out["solution"].status == "optimal"
     assert out["target"].g.shape == (8, 2, 2)
@@ -246,7 +247,7 @@ def test_re_pipeline_exposes_consistent_intermediates():
 def test_re_with_ones_override_reduces_to_bc_replay():
     mdp, expert = make_mm_lb(8, 256)
     ds = sample_dataset(mdp, expert, 256, 35)
-    cfg = ReConfig(split=SplitConfig(0.5, 7), oracle_override="ones")
+    cfg = ReConfig(split_seed=7, oracle_override="ones")
     out = re_pipeline(ds, mdp, cfg)
     # With full membership the hybrid is exactly the BC replay occupancy, a
     # consistent target, so matching reproduces the BC policy's value.
@@ -259,7 +260,7 @@ def test_re_with_ones_override_reduces_to_bc_replay():
 def test_re_train_is_pure():
     mdp, expert = make_mm_lb(8, 128)
     ds = sample_dataset(mdp, expert, 128, 39)
-    cfg = ReConfig(split=SplitConfig(0.5, 3), replay_mode="mc", n_replay=200,
+    cfg = ReConfig(split_seed=3, replay_mode="mc", n_replay=200,
                    replay_seed=9)
     a = re_train(ds, mdp, cfg)
     b = re_train(ds, mdp, cfg)
@@ -273,25 +274,41 @@ def test_re_config_validation():
         ReConfig(replay_mode="mc", n_replay=0)
     with pytest.raises(ValueError):
         ReConfig(oracle_override="twos")
+    for frac1 in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="frac1"):
+            ReConfig(frac1=frac1)
+    with pytest.raises(ValueError, match="tie_rule"):
+        ReConfig(tie_rule="highest")
 
 
-def test_re_config_from_dict():
-    cfg = ReConfig.from_dict({"frac1": 0.3, "split_seed": 5,
-                              "replay_mode": "mc", "n_replay": 20,
-                              "replay_seed": 6, "use_full_data": True,
-                              "tie_rule": "highest", "oracle_override": "ones",
-                              "include_current": True})
-    assert cfg == ReConfig(SplitConfig(0.3, 5), "mc", 20, 6, True, "highest",
-                           "ones", True)
-    assert ReConfig.from_dict({}) == ReConfig()
-    with pytest.raises(ValueError, match="keys: frac, seed$"):
-        ReConfig.from_dict({"frac": 0.3, "seed": 1, "n_replay": 3})
-    with pytest.raises(ValueError, match="keys: split$"):
-        ReConfig.from_dict({"split": SplitConfig(0.3, 5)})
-    with pytest.raises(ValueError, match="mapping"):
-        ReConfig.from_dict([("frac1", 0.3)])
-    with pytest.raises(ValueError, match="frac1"):
-        ReConfig.from_dict({"frac1": 1.5})
+def flag_pipeline(flag):
+    """re_pipeline with one boolean ReConfig flag off and on, on a bc-lb
+    dataset small enough that D1 leaves good states unvisited (so the
+    hybrid's empirical term is not zero)."""
+    mdp, expert = make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7)
+    ds = sample_dataset(mdp, expert, 64, 47)
+    off, on = (re_pipeline(ds, mdp, ReConfig(split_seed=5, **{flag: value}))
+               for value in (False, True))
+    assert not np.array_equal(off["target"].g, on["target"].g)
+    return mdp, ds, off, on
+
+
+def test_re_pipeline_use_full_data_matches_against_all_of_d():
+    _, ds, off, on = flag_pipeline("use_full_data")
+    assert np.array_equal(
+        off["target"].g,
+        hybrid_estimate(off["replay"], off["d2"], off["oracle"]).g)
+    assert np.array_equal(
+        on["target"].g, hybrid_estimate(on["replay"], ds, on["oracle"]).g)
+
+
+def test_re_pipeline_include_current_reaches_replay_and_hybrid():
+    mdp, _, _, on = flag_pipeline("include_current")
+    replay = replay_exact(mdp, on["bc"], on["oracle"], include_current=True)
+    assert np.array_equal(on["replay"].d, replay.d)
+    assert np.array_equal(
+        on["target"].g,
+        hybrid_estimate(replay, on["d2"], on["oracle"], True).g)
 
 
 def test_re_replays_expert_action_on_covered_states():
@@ -299,7 +316,7 @@ def test_re_replays_expert_action_on_covered_states():
     # replay keeps that mass on expert cells.
     mdp, expert = make_mm_lb(4, 64)
     ds = sample_dataset(mdp, expert, 64, 43)
-    out = re_pipeline(ds, mdp, ReConfig(split=SplitConfig(0.5, 5)))
+    out = re_pipeline(ds, mdp, ReConfig(split_seed=5))
     seen = membership_tabular(out["d1"], 2, 4).m.astype(bool)
     bc = out["bc"].probs
     assert np.all(bc[:, :, 0][seen] == 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from il_lab.acceptance import random_mdp, random_policy, random_target
-from il_lab.datasets import SplitConfig, empirical_occupancy, sample_dataset
+from il_lab.datasets import empirical_occupancy, sample_dataset
 from il_lab.instances import geometric_reset, make_bc_lb, make_mm_lb
 from il_lab.learners import ReConfig, re_pipeline
 from il_lab.matching import MatchTarget, brute_force_match, build_match_lp, \
@@ -21,7 +21,7 @@ def bc_lb_targets(n=1024, seed=515):
     mdp, expert = make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7)
     ds = sample_dataset(mdp, expert, n, mix64(seed, 1))
     emp = empirical_occupancy(ds, mdp.num_states, mdp.num_actions)
-    hybrid = re_pipeline(ds, mdp, ReConfig(split=SplitConfig(0.5, seed)))
+    hybrid = re_pipeline(ds, mdp, ReConfig(split_seed=seed))
     return mdp, [MatchTarget.from_occupancy(emp), hybrid["target"]]
 
 
