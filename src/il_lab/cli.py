@@ -1,8 +1,9 @@
 """Command-line front end: instance/dataset generation, training, grid
-experiments, event probes, slope fits, and the acceptance suite. Instances
-and learners go through harness.make_instance and harness.train, the same
-functions an experiment uses, so the defaults and the checks on config keys
-are the experiment's."""
+experiments, event probes, slope fits, and the acceptance suite.
+gen-instance --config takes an experiment's instance mapping and train
+--config its learner mapping without the id; both go to the functions an
+experiment uses, harness.make_instance and harness.train, so the defaults
+and the checks on config keys and types are the experiment's."""
 
 import argparse
 import json
@@ -18,13 +19,8 @@ from .mdp import load_json, mdp_from_json, mdp_to_json, policy_from_json, \
 
 
 def _cmd_gen_instance(args):
-    cfg = {"family": args.family, "states": args.states,
-           "actions": args.actions, "reset": args.reset, "ratio": args.ratio,
-           "construction_seed": args.construction_seed,
-           "mixture_seed": args.mixture_seed}
-    cfg = {k: v for k, v in cfg.items() if v is not None}
-    component, mdp, expert = make_instance(cfg, args.H, args.n_exp,
-                                           args.draw)
+    component, mdp, expert = make_instance(_config_mapping(args.config),
+                                           args.H, args.n_exp, args.draw)
     save_json(mdp_to_json(mdp), f"{args.out}.mdp.json")
     save_json(policy_to_json(expert), f"{args.out}.policy.json")
     print(f"{component}: wrote {args.out}.mdp.json and {args.out}.policy.json"
@@ -42,7 +38,8 @@ def _cmd_gen_dataset(args):
     return 0
 
 
-def _learner_options(spec_text):
+def _config_mapping(spec_text):
+    """The JSON object of --config, given as a literal or a file path."""
     if not spec_text:
         return {}
     if spec_text.strip().startswith("{"):
@@ -58,7 +55,7 @@ def _cmd_train(args):
     mdp = mdp_from_json(load_json(args.instance))
     ds = load_dataset(args.dataset)
     check_dataset(ds, mdp)
-    pol = train(args.learner, _learner_options(args.config), ds, mdp)
+    pol = train(args.learner, _config_mapping(args.config), ds, mdp)
     save_json(policy_to_json(pol), args.out)
     print(f"wrote {args.out}; J(policy) = {policy_value(mdp, pol):.6f}")
     return 0
@@ -67,12 +64,9 @@ def _cmd_train(args):
 def _cmd_experiment(args):
     cfg = ExperimentConfig.from_json(load_json(args.config))
     rows = run_experiment(cfg)
-    out = args.out or cfg.output
-    if not out:
-        raise SystemExit("no output path: pass --out or set it in the config")
-    rows_to_csv(rows, out)
+    rows_to_csv(rows, args.out)
     failed = sum(r.status != "ok" for r in rows)
-    print(f"wrote {out} ({len(rows)} rows, {failed} failures)")
+    print(f"wrote {args.out} ({len(rows)} rows, {failed} failures)")
     return 1 if failed else 0
 
 
@@ -116,19 +110,14 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-instance", help="write an instance + expert pair")
-    g.add_argument("--family", required=True,
-                   choices=["mm-lb", "bc-lb", "two-state", "fan", "mixture"])
+    g.add_argument("--config", required=True,
+                   help="an experiment's instance mapping: JSON literal or "
+                        "file path")
     g.add_argument("--H", type=int, required=True)
     g.add_argument("--n-exp", type=int, default=100,
                    help="dataset size the instance is tuned against")
-    g.add_argument("--states", type=int, default=None)
-    g.add_argument("--actions", type=int, default=None)
-    g.add_argument("--reset", choices=["uniform", "geometric"], default=None)
-    g.add_argument("--ratio", type=float, default=None)
-    g.add_argument("--construction-seed", type=int, default=None)
-    g.add_argument("--mixture-seed", type=int, default=None)
     g.add_argument("--draw", type=int, default=0,
-                   help="draw index for the mixture family")
+                   help="draw index, as run_experiment numbers a grid's runs")
     g.add_argument("--out", required=True, help="output path prefix")
     g.set_defaults(func=_cmd_gen_instance)
 
@@ -141,17 +130,19 @@ def build_parser():
     d.set_defaults(func=_cmd_gen_dataset)
 
     t = sub.add_parser("train", help="fit a policy to a dataset")
-    t.add_argument("--learner", required=True, choices=["bc", "mm", "re"])
+    t.add_argument("--learner", required=True,
+                   help="a learner id that harness.train knows")
     t.add_argument("--instance", required=True)
     t.add_argument("--dataset", required=True)
     t.add_argument("--config", default=None,
-                   help="learner config: JSON literal or file path")
+                   help="an experiment's learner mapping without its id: "
+                        "JSON literal or file path")
     t.add_argument("--out", required=True)
     t.set_defaults(func=_cmd_train)
 
     e = sub.add_parser("experiment", help="run a (H, N, seed) grid to CSV")
     e.add_argument("--config", required=True)
-    e.add_argument("--out", default=None)
+    e.add_argument("--out", required=True)
     e.set_defaults(func=_cmd_experiment)
 
     pe = sub.add_parser("probe-events", help="lower-bound event frequencies")

@@ -101,18 +101,16 @@ def empirical_occupancy(dataset, S, A):
 def cell_sums(states, actions, S, A, weights=None):
     """(H,S,A) sums over the steps of (n,H) states/actions that fall in each
     (t, s, a) cell: step counts, or the sums of an (n,H) weights array. One
-    bincount over the flat (t, s, a) index, built in a single buffer laid
-    out as states is. Counts read it in memory order; sums of weights add
-    in row-major step order, whatever the layout."""
+    bincount per step over its (s, a) index, so the weights of a cell add
+    in increasing trajectory index, whatever the layout."""
     H = states.shape[1]
-    flat = states + np.arange(H) * S
-    flat *= A
-    flat += actions
-    if weights is None:
-        return np.bincount(flat.ravel(order="K"), None,
-                           H * S * A).reshape(H, S, A)
-    return np.bincount(flat.ravel(), np.ravel(weights),
-                       H * S * A).reshape(H, S, A)
+    out = np.empty((H, S * A), np.int64 if weights is None else np.float64)
+    for t in range(H):
+        idx = states[:, t] * A
+        idx += actions[:, t]
+        out[t] = np.bincount(idx, None if weights is None else weights[:, t],
+                             S * A)
+    return out.reshape(H, S, A)
 
 
 def check_dataset(dataset, mdp):

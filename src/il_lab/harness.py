@@ -5,8 +5,9 @@ noise never enters a reported gap. Per-run seed = hash(base, cell, seed_idx),
 so runs are order-independent and mixtures pair with single-instance runs.
 
 make_instance and train are the only places that read instance and learner
-configs: every default lives there, and a key nothing reads is an error.
-The CLI goes through the same two functions.
+configs: every default and type check lives there, and a key nothing
+reads is an error. The CLI hands them an experiment's own instance and
+learner mappings.
 
 A grid cell's seeds share one instance: the constructors return the same
 (mdp, expert) for equal arguments, and run_cell evaluates that expert once
@@ -15,6 +16,7 @@ policy's value are left."""
 
 import csv
 import io
+import json
 import math
 import time
 from dataclasses import dataclass, fields
@@ -27,7 +29,7 @@ from .datasets import Dataset, sample_dataset
 from .instances import (INSTANCE_CACHE, make_bc_lb, make_fan, make_mm_lb,
                         make_two_state_uniform, geometric_reset)
 from .learners import ReConfig, bc_train, mm_train, re_train
-from .mdp import policy_value, rollout_batch
+from .mdp import policy_value, require_ints, rollout_batch
 from .rng import mix64
 
 DEFAULT_E3_COEFF = 0.5
@@ -40,26 +42,39 @@ _GAP_TOL = 1e-9
 @dataclass(frozen=True)
 class ExperimentConfig:
     """instance: {"family": ..., params...}; learner: {"id": bc|mm|re,
-    params...}; grid: {"H": [...], "n_exp": [...]}; seeds: {"count", "base"}."""
+    params...}; grid: {"H": [...], "n_exp": [...]}; seeds: {"count", "base"}.
+    Each is a JSON object; grid entries and seeds are JSON integers."""
 
     instance: dict
     learner: dict
     grid: dict
     seeds: dict
-    output: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, dict):
+                raise ValueError(f"{f.name} must be a JSON object, not "
+                                 f"{type(value).__name__}")
         _reject_unread(self.grid.keys() - {"H", "n_exp"}, "grid")
         _reject_unread(self.seeds.keys() - {"count", "base"}, "seeds")
-        if not self.grid.get("H") or not self.grid.get("n_exp"):
-            raise ValueError("grid must carry nonempty H and n_exp lists")
+        for key in ("H", "n_exp"):
+            values = self.grid.get(key)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError("grid must carry nonempty H and n_exp lists")
+            for v in values:
+                if type(v) is not int:
+                    raise ValueError(f"grid {key} entries must be integers, "
+                                     f"got {json.dumps(v)}")
+        require_ints(self.seeds, [k for k in ("count", "base")
+                                  if k in self.seeds], "seeds")
         if self.seeds.get("count", 0) < 1:
             raise ValueError("need at least one seed")
 
     @classmethod
     def from_json(cls, doc):
-        """The config of a JSON object with exactly the field names as keys
-        (output optional); a missing or unknown key raises ValueError."""
+        """The config of a JSON object with exactly the field names as keys;
+        a missing or unknown key raises ValueError."""
         try:
             return cls(**doc)
         except TypeError as exc:
@@ -91,6 +106,11 @@ def _reject_unread(cfg, what):
         raise ValueError(f"unknown {what} keys: " + ", ".join(sorted(cfg)))
 
 
+# The instance keys that hold a count, a size or a seed, in the order their
+# types are checked.
+_INT_KEYS = ("states", "actions", "construction_seed", "mixture_seed")
+
+
 def _reset_dist(cfg, num_states):
     """The reset distribution of cfg's "reset" kind. Only the geometric
     reset reads "ratio"; with any other kind the key is left over."""
@@ -103,11 +123,18 @@ def _reset_dist(cfg, num_states):
 
 
 def make_instance(inst_cfg, H, n_exp, draw_index):
-    """Resolve one grid cell to (component_tag, mdp, expert). Each key is
-    taken out of a copy of inst_cfg as it is read; one left over raises
-    ValueError naming it."""
+    """Resolve one grid cell to (component_tag, mdp, expert). inst_cfg is
+    a JSON object whose counts and seeds are JSON integers and whose ratio
+    is a number. Each key is taken out of a copy of inst_cfg as it is read;
+    one left over raises ValueError naming it."""
+    if not isinstance(inst_cfg, dict):
+        raise ValueError("instance config must be a JSON object")
     cfg = dict(inst_cfg)
     family = cfg.pop("family", None)
+    require_ints(cfg, [k for k in _INT_KEYS if k in cfg], f"{family} instance")
+    if "ratio" in cfg and type(cfg["ratio"]) not in (int, float):
+        raise ValueError(f"{family} instance: ratio must be a number, got "
+                         f"{json.dumps(cfg['ratio'])}")
     if family == "mm-lb":
         out = (family, *make_mm_lb(H, n_exp))
     elif family == "bc-lb":
@@ -297,12 +324,9 @@ def event_probe(n_exp, H, n_datasets, seed, coeff=DEFAULT_E3_COEFF):
 def conditional_gap_check(n_exp, H, n_datasets, seed, coeff=DEFAULT_E3_COEFF):
     """On every dataset draw satisfying E1, E2, E3 the moment-matching gap
     must equal (H-1)/(2 sqrt(n_exp)) within _GAP_TOL. Reports
-    "inconclusive" when no draw conditions, and "configuration-error" on
-    invalid parameters."""
-    try:
-        mdp, expert = make_mm_lb(H, n_exp)
-    except ValueError as err:
-        return {"status": "configuration-error", "message": str(err)}
+    "inconclusive" when no draw conditions. Invalid parameters raise
+    ValueError, as in event_probe."""
+    mdp, expert = make_mm_lb(H, n_exp)
     expected = (H - 1) / (2.0 * math.sqrt(n_exp))
     je = policy_value(mdp, expert)
     checked, max_err = 0, 0.0

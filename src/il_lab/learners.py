@@ -8,7 +8,8 @@ over states strictly before t (empty product 1 at t=0). The alternative that
 includes the current state is exposed via include_current for sensitivity
 checks, not used by defaults."""
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +19,11 @@ from .matching import MatchTarget, extract_policy, solve_occupancy_match
 from .mdp import MarkovPolicy, OccupancyMeasures, exact_occupancy, rollout_batch
 
 TIE_RULES = ("lowest", "uniform")
+# What ReConfig takes for a field of each annotated type, as JSON reads it:
+# a bool is not an integer, an integer is a number, and a string may be null.
+_JSON_TYPES = {bool: ("true or false", (bool,)), int: ("an integer", (int,)),
+               float: ("a number", (int, float)),
+               str: ("a string or null", (str, type(None)))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +69,12 @@ class ReConfig:
     include_current: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, types = _JSON_TYPES[f.type]
+            if type(value) not in types:
+                raise ValueError(f"{f.name} must be {kind}, got "
+                                 f"{json.dumps(value)}")
         SplitConfig(self.frac1, self.split_seed)  # raises on a bad frac1
         _check_tie_rule(self.tie_rule)
         if self.replay_mode not in ("exact", "mc"):

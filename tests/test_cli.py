@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -11,10 +12,10 @@ from il_lab.mdp import load_json, mdp_from_json, policy_from_json, \
     policy_value, rollout_batch
 
 
-def gen_instance(tmp_path, *extra):
+def gen_instance(tmp_path):
     prefix = tmp_path / "inst"
-    rc = main(["gen-instance", "--family", "mm-lb", "--H", "4",
-               "--n-exp", "100", "--out", str(prefix), *extra])
+    rc = main(["gen-instance", "--config", '{"family": "mm-lb"}', "--H", "4",
+               "--n-exp", "100", "--out", str(prefix)])
     assert rc == 0
     return prefix
 
@@ -40,13 +41,66 @@ def test_gen_instance_writes_loadable_pair(tmp_path, capsys):
 
 def test_gen_instance_family_specific_knobs(tmp_path):
     prefix = tmp_path / "bc"
-    rc = main(["gen-instance", "--family", "bc-lb", "--H", "6",
-               "--states", "5", "--reset", "geometric", "--ratio", "0.5",
-               "--construction-seed", "3", "--out", str(prefix)])
+    rc = main(["gen-instance", "--config",
+               '{"family": "bc-lb", "states": 5, "reset": "geometric", '
+               '"ratio": 0.5, "construction_seed": 3}',
+               "--H", "6", "--out", str(prefix)])
     assert rc == 0
     mdp = mdp_from_json(load_json(f"{prefix}.mdp.json"))
     assert (mdp.num_states, mdp.horizon) == (5, 6)
     assert np.allclose(mdp.rho[:4], np.array([8, 4, 2, 1]) / 15.0)
+
+
+CRITERION_4_BC_LB = {"family": "bc-lb", "states": 20, "actions": 2,
+                     "reset": "geometric", "ratio": 0.5,
+                     "construction_seed": 0}
+CRITERION_5_MIXTURE = {"family": "mixture", "states": 16, "actions": 2,
+                       "reset": "geometric", "ratio": 0.5,
+                       "construction_seed": 7, "mixture_seed": 0}
+BC_LB_S16 = ("a36960d1d3b3a20a", "e1337d7371929d10")
+MM_LB_H8 = ("2b19ddf18a2755f7", "6990b03249a4c9cd")
+
+
+@pytest.mark.parametrize("config,draw,digests", [
+    ({"family": "mm-lb"}, 0, MM_LB_H8),
+    (CRITERION_4_BC_LB, 0, ("2f905abc982c827d", "f2db6ed1252d9387")),
+    ({"family": "two-state"}, 0, ("a798b5cd6f58934e", "6990b03249a4c9cd")),
+    ({"family": "fan", "states": 4}, 0,
+     ("4ac448a21fe9117c", "229c763af5928f1a")),
+    (CRITERION_5_MIXTURE, 0, BC_LB_S16),
+    (CRITERION_5_MIXTURE, 1, BC_LB_S16),
+    (CRITERION_5_MIXTURE, 2, MM_LB_H8),
+], ids=["mm-lb", "bc-lb", "two-state", "fan", "mixture-0", "mixture-1",
+        "mixture-2"])
+def test_gen_instance_files_are_pinned(tmp_path, config, draw, digests):
+    # The leading 16 hex digits of the sha256 of each file, as gen-instance
+    # wrote them at H 8, n-exp 1024 when it took one flag per instance key:
+    # the mapping builds the same bytes.
+    prefix = tmp_path / "inst"
+    assert main(["gen-instance", "--config", json.dumps(config), "--H", "8",
+                 "--n-exp", "1024", "--draw", str(draw),
+                 "--out", str(prefix)]) == 0
+    assert tuple(hashlib.sha256((tmp_path / f"inst.{kind}.json").read_bytes())
+                 .hexdigest()[:16] for kind in ("mdp", "policy")) == digests
+
+
+@pytest.mark.parametrize("config,message", [
+    ('{"family": "bc-lb", "states": 4.5}',
+     "bc-lb instance: states must be an integer, got 4.5"),
+    ('{"family": "bc-lb", "construction_seed": 1.5}',
+     "bc-lb instance: construction_seed must be an integer, got 1.5"),
+    ('{"family": "bc-lb", "reset": "geometric", "ratio": true}',
+     "bc-lb instance: ratio must be a number, got true"),
+    ('{"family": "mixture", "mixture_seed": "0"}',
+     'mixture instance: mixture_seed must be an integer, got "0"'),
+    ('{"family": "gridworld"}', "unknown instance family 'gridworld'"),
+], ids=["states", "construction-seed", "ratio", "mixture-seed", "family"])
+def test_gen_instance_rejects_a_bad_mapping(tmp_path, config, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-instance", "--config", config, "--H", "8",
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == f"gen-instance: {message}"
+    assert not (tmp_path / "x.mdp.json").exists()
 
 
 def test_gen_dataset_matches_direct_sampling(tmp_path):
@@ -82,8 +136,9 @@ def test_train_rejects_dataset_of_another_instance(tmp_path, learner):
     # learner stops at the same check before training.
     prefix = gen_instance(tmp_path)
     other = tmp_path / "bc"
-    assert main(["gen-instance", "--family", "bc-lb", "--H", "6",
-                 "--states", "5", "--out", str(other)]) == 0
+    assert main(["gen-instance", "--config",
+                 '{"family": "bc-lb", "states": 5}', "--H", "6",
+                 "--out", str(other)]) == 0
     data = gen_dataset(tmp_path, other)
     out = tmp_path / "policy.json"
     with pytest.raises(SystemExit) as exc:
@@ -120,8 +175,9 @@ def test_bad_input_ends_in_a_message(tmp_path):
              "--dataset", str(data), "--out", str(tmp_path / "p.json"),
              "--config"]
     cases = [
-        (["gen-instance", "--family", "mm-lb", "--H", "3", "--out",
-          str(tmp_path / "x")], "gen-instance: mm-lb requires H >= 4, got 3"),
+        (["gen-instance", "--config", '{"family": "mm-lb"}', "--H", "3",
+          "--out", str(tmp_path / "x")],
+         "gen-instance: mm-lb requires H >= 4, got 3"),
         (["gen-dataset", "--instance", f"{prefix}.mdp.json", "--policy",
           f"{prefix}.policy.json", "--n", "0", "--out",
           str(tmp_path / "d.jsonl")], "gen-dataset: n must be positive"),
@@ -156,7 +212,8 @@ def test_missing_files_and_config_keys_end_in_a_message(tmp_path):
                   str(missing)], f"train: [Errno 2] {no_file}"),
         (train + ["--instance", f"{prefix}.mdp.json", "--dataset", str(data),
                   "--config", str(missing)], f"train: [Errno 2] {no_file}"),
-        (["experiment", "--config", str(exp_cfg)],
+        (["experiment", "--config", str(exp_cfg), "--out",
+          str(tmp_path / "rows.csv")],
          "experiment: experiment config: ExperimentConfig.__init__() missing "
          "3 required positional arguments: 'learner', 'grid', and 'seeds'"),
     ]
@@ -244,8 +301,8 @@ def test_gen_instance_uses_the_experiment_defaults(tmp_path):
     # No knob given: the mixture's bc-lb component is the one an
     # experiment's {"family": "mixture"} builds (construction seed 7).
     prefix = tmp_path / "mix"
-    assert main(["gen-instance", "--family", "mixture", "--H", "8",
-                 "--draw", "0", "--out", str(prefix)]) == 0
+    assert main(["gen-instance", "--config", '{"family": "mixture"}',
+                 "--H", "8", "--draw", "0", "--out", str(prefix)]) == 0
     mdp = mdp_from_json(load_json(f"{prefix}.mdp.json"))
     pol = policy_from_json(load_json(f"{prefix}.policy.json"))
     _, ref_mdp, ref_pol = make_instance({"family": "mixture"}, 8, 100, 0)
@@ -254,6 +311,41 @@ def test_gen_instance_uses_the_experiment_defaults(tmp_path):
     assert np.array_equal(mdp.transitions, ref_mdp.transitions)
     assert np.array_equal(mdp.rewards, ref_mdp.rewards)
     assert np.array_equal(pol.probs, ref_pol.probs)
+
+
+@pytest.mark.parametrize("config,message", [
+    ('{"use_full_data": "no"}', 'use_full_data must be true or false, '
+     'got "no"'),
+    ('{"split_seed": 1.5}', "split_seed must be an integer, got 1.5"),
+    ('{"frac1": "0.5"}', 'frac1 must be a number, got "0.5"'),
+    ('{"replay_mode": "mc", "n_replay": 2.5}',
+     "n_replay must be an integer, got 2.5"),
+    ('{"replay_seed": true}', "replay_seed must be an integer, got true"),
+    ('{"oracle_override": 1}', "oracle_override must be a string or null, "
+     "got 1"),
+], ids=["use-full-data", "split-seed", "frac1", "n-replay", "replay-seed",
+        "oracle-override"])
+def test_train_rejects_a_re_value_of_the_wrong_type(tmp_path, config,
+                                                    message):
+    # A string flag is not false, and a fractional seed is not rounded.
+    prefix = gen_instance(tmp_path)
+    data = gen_dataset(tmp_path, prefix)
+    out = tmp_path / "p.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--learner", "re", "--instance", f"{prefix}.mdp.json",
+              "--dataset", str(data), "--out", str(out), "--config", config])
+    assert exc.value.code == f"train: {message}"
+    assert not out.exists()
+
+
+def test_train_rejects_an_unknown_learner(tmp_path):
+    prefix = gen_instance(tmp_path)
+    data = gen_dataset(tmp_path, prefix)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--learner", "dagger", "--instance",
+              f"{prefix}.mdp.json", "--dataset", str(data),
+              "--out", str(tmp_path / "p.json")])
+    assert exc.value.code == "train: unknown learner 'dagger'"
 
 
 def test_train_config_reaches_bc(tmp_path):
@@ -291,8 +383,8 @@ def test_train_rejects_unknown_config_keys(tmp_path, learner, what):
 
 def test_gen_instance_rejects_a_knob_its_family_does_not_read(tmp_path):
     with pytest.raises(SystemExit) as exc:
-        main(["gen-instance", "--family", "mm-lb", "--H", "4", "--states",
-              "5", "--out", str(tmp_path / "x")])
+        main(["gen-instance", "--config", '{"family": "mm-lb", "states": 5}',
+              "--H", "4", "--out", str(tmp_path / "x")])
     assert exc.value.code == ("gen-instance: unknown mm-lb instance keys: "
                               "states")
     assert not (tmp_path / "x.mdp.json").exists()
@@ -302,8 +394,9 @@ def test_gen_instance_rejects_a_knob_its_family_does_not_read(tmp_path):
 def test_gen_instance_rejects_ratio_without_the_geometric_reset(tmp_path,
                                                                 family):
     with pytest.raises(SystemExit) as exc:
-        main(["gen-instance", "--family", family, "--H", "8", "--ratio",
-              "0.3", "--out", str(tmp_path / "x")])
+        main(["gen-instance", "--config",
+              json.dumps({"family": family, "ratio": 0.3}), "--H", "8",
+              "--out", str(tmp_path / "x")])
     assert exc.value.code == (f"gen-instance: unknown {family} instance "
                               "keys: ratio")
     assert not (tmp_path / "x.mdp.json").exists()
@@ -324,13 +417,49 @@ def test_experiment_round_trip_and_fit(tmp_path, capsys):
     assert "4 rows, 0 failures" in capsys.readouterr().out
 
 
-def test_experiment_requires_output_path(tmp_path):
+EXPERIMENT = {"instance": {"family": "mm-lb"}, "learner": {"id": "bc"},
+              "grid": {"H": [4], "n_exp": [8]}, "seeds": {"count": 1}}
+
+
+def test_experiment_requires_output_path(tmp_path, capsys):
     cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps(
-        {"instance": {"family": "mm-lb"}, "learner": {"id": "bc"},
-         "grid": {"H": [4], "n_exp": [8]}, "seeds": {"count": 1}}))
-    with pytest.raises(SystemExit):
+    cfg_path.write_text(json.dumps(EXPERIMENT))
+    with pytest.raises(SystemExit) as exc:
         main(["experiment", "--config", str(cfg_path)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("instance", ["mm-lb"], "instance must be a JSON object, not list"),
+    ("learner", [["id", "re"]], "learner must be a JSON object, not list"),
+    ("grid", {"H": [4.5], "n_exp": [8]},
+     "grid H entries must be integers, got 4.5"),
+    ("grid", {"H": [4], "n_exp": [8, "16"]},
+     'grid n_exp entries must be integers, got "16"'),
+    ("grid", {"H": 4, "n_exp": [8]},
+     "grid must carry nonempty H and n_exp lists"),
+    ("seeds", {"count": 2.5}, "seeds: count must be an integer, got 2.5"),
+    ("seeds", {"count": 1, "base": True},
+     "seeds: base must be an integer, got true"),
+    ("instance", {"family": "bc-lb", "construction_seed": 1.5},
+     "bc-lb instance: construction_seed must be an integer, got 1.5"),
+    ("instance", {"family": "bc-lb", "reset": "geometric", "ratio": True},
+     "bc-lb instance: ratio must be a number, got true"),
+    ("learner", {"id": "re", "use_full_data": "no"},
+     'use_full_data must be true or false, got "no"'),
+], ids=["instance-list", "learner-list", "grid-H", "grid-n_exp",
+        "grid-H-scalar", "seeds-count", "seeds-base", "construction-seed",
+        "ratio", "use-full-data"])
+def test_experiment_rejects_a_value_of_the_wrong_type(tmp_path, field, value,
+                                                      message):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**EXPERIMENT, field: value}))
+    out = tmp_path / "rows.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--config", str(cfg_path), "--out", str(out)])
+    assert exc.value.code == f"experiment: {message}"
+    assert not out.exists()
 
 
 def test_fit_command_reads_back_csv(tmp_path, capsys):

@@ -131,6 +131,36 @@ def test_cell_sums_match_the_scatter_reference():
                               scatter_reference(s, a, S, A, weights))
 
 
+def flat_bincount_reference(states, actions, S, A, weights):
+    """One bincount over the flat (t, s, a) index of every step, read in
+    row-major order, so a cell's weights add in increasing trajectory
+    index."""
+    H = states.shape[1]
+    flat = (np.arange(H) * S + states) * A + actions
+    return np.bincount(flat.ravel(), weights.ravel(),
+                       H * S * A).reshape(H, S, A)
+
+
+def test_cell_sums_match_the_flat_bincount_reference_bit_for_bit():
+    # One bincount per step sums each cell in the same order as one over
+    # the flat index; compared by float.hex on both memory layouts.
+    S, A, n, H = 7, 2, 1500, 5
+    u = np.array([mix64(47, i) for i in range(3 * n * H)]) / 2.0**64
+    states = (u[:n * H] * S).astype(np.int64).reshape(n, H)
+    actions = (u[n * H:2 * n * H] * A).astype(np.int64).reshape(n, H)
+    weights = u[2 * n * H:].reshape(n, H) * 3.0 - 1.0
+    for order in ("C", "F"):
+        s, a, w = (np.asarray(x, order=order)
+                   for x in (states, actions, weights))
+        got = cell_sums(s, a, S, A, w)
+        ref = flat_bincount_reference(s, a, S, A, w)
+        assert [v.hex() for v in got.ravel()] == \
+            [v.hex() for v in ref.ravel()]
+        assert np.array_equal(cell_sums(s, a, S, A),
+                              flat_bincount_reference(s, a, S, A,
+                                                      np.ones((n, H))))
+
+
 def test_empirical_single_trajectory():
     ds = tiny_dataset([[(0, 1), (2, 0)]])
     d = empirical_occupancy(ds, 3, 2).d

@@ -33,10 +33,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig({"family": "mm-lb"}, {"id": "mm"},
                          {"H": [4], "n_exp": [4]}, {"count": 0})
-    cfg = ExperimentConfig.from_json(
-        {"instance": {"family": "mm-lb"}, "learner": {"id": "bc"},
-         "grid": {"H": [4], "n_exp": [16]}, "seeds": {"count": 2}})
-    assert cfg.output == ""
+    doc = {"instance": {"family": "mm-lb"}, "learner": {"id": "bc"},
+           "grid": {"H": [4], "n_exp": [16]}, "seeds": {"count": 2}}
+    assert ExperimentConfig.from_json(doc).seeds == {"count": 2}
+    # The output path is the CLI's --out, not a config key.
+    with pytest.raises(ValueError, match="unexpected keyword argument "
+                                         "'output'"):
+        ExperimentConfig.from_json({**doc, "output": "rows.csv"})
 
 
 # ------------------------------------------------------------------ cells
@@ -178,6 +181,33 @@ def test_ratio_reaches_the_geometric_reset():
     assert mdp is make_bc_lb(6, 4, 2, geometric_reset(5, 0.3), 0)[0]
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("states", 4.5, "states must be an integer, got 4.5"),
+    ("actions", "2", 'actions must be an integer, got "2"'),
+    ("construction_seed", 1.5, "construction_seed must be an integer, got 1.5"),
+    ("mixture_seed", None, "mixture_seed must be an integer, got null"),
+    ("ratio", True, "ratio must be a number, got true"),
+    ("ratio", "0.5", 'ratio must be a number, got "0.5"'),
+], ids=["states", "actions", "construction-seed", "mixture-seed",
+        "ratio-true", "ratio-string"])
+def test_instance_values_must_have_their_json_type(key, value, message):
+    # Not int() or float(): those build seed 1 from 1.5 and ratio 1 from
+    # true.
+    cfg = {"family": "mixture", "reset": "geometric", key: value}
+    with pytest.raises(ValueError) as exc:
+        make_instance(cfg, 8, 100, 0)
+    assert str(exc.value) == f"mixture instance: {message}"
+
+
+def test_instance_types_are_checked_in_a_fixed_order():
+    cfg = {"family": "bc-lb", "construction_seed": 1.5, "states": 4.5}
+    with pytest.raises(ValueError, match="^bc-lb instance: states "):
+        make_instance(cfg, 8, 100, 0)
+    with pytest.raises(ValueError, match="^instance config must be a JSON "
+                                         "object$"):
+        make_instance(["mm-lb"], 8, 100, 0)
+
+
 @pytest.mark.parametrize("learner,what,key", [
     ("bc", "bc config", "tie_rul"),
     ("mm", "mm config", "frac1"),  # keys of the other learners are not mm's
@@ -272,9 +302,8 @@ def test_conditional_gap_check_passes_on_conditioned_draws():
 
 
 def test_conditional_gap_check_rejects_bad_horizon():
-    out = conditional_gap_check(100, 3, 1000, seed=1)
-    assert out["status"] == "configuration-error"
-    assert "H >= 4" in out["message"]
+    with pytest.raises(ValueError, match="H >= 4"):
+        conditional_gap_check(100, 3, 1000, seed=1)
 
 
 # ------------------------------------------------------------------ slopes
