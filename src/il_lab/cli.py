@@ -39,10 +39,12 @@ def _cmd_gen_dataset(args):
 
 
 def _config_mapping(spec_text):
-    """The JSON object of --config, given as a literal or a file path."""
+    """The JSON object of --config, given as a literal or a file path. Text
+    that starts with { or [ is a literal, so an array ends in the message
+    below instead of a missing file."""
     if not spec_text:
         return {}
-    if spec_text.strip().startswith("{"):
+    if spec_text.lstrip().startswith(("{", "[")):
         doc = json.loads(spec_text)
     else:
         doc = load_json(spec_text)

@@ -16,7 +16,6 @@ policy's value are left."""
 
 import csv
 import io
-import json
 import math
 import time
 from dataclasses import dataclass, fields
@@ -29,7 +28,7 @@ from .datasets import Dataset, sample_dataset
 from .instances import (INSTANCE_CACHE, make_bc_lb, make_fan, make_mm_lb,
                         make_two_state_uniform, geometric_reset)
 from .learners import ReConfig, bc_train, mm_train, re_train
-from .mdp import policy_value, require_ints, rollout_batch
+from .mdp import policy_value, require_ints, rollout_batch, show_value
 from .rng import mix64
 
 DEFAULT_E3_COEFF = 0.5
@@ -65,7 +64,7 @@ class ExperimentConfig:
             for v in values:
                 if type(v) is not int:
                     raise ValueError(f"grid {key} entries must be integers, "
-                                     f"got {json.dumps(v)}")
+                                     f"got {show_value(v)}")
         require_ints(self.seeds, [k for k in ("count", "base")
                                   if k in self.seeds], "seeds")
         if self.seeds.get("count", 0) < 1:
@@ -134,7 +133,7 @@ def make_instance(inst_cfg, H, n_exp, draw_index):
     require_ints(cfg, [k for k in _INT_KEYS if k in cfg], f"{family} instance")
     if "ratio" in cfg and type(cfg["ratio"]) not in (int, float):
         raise ValueError(f"{family} instance: ratio must be a number, got "
-                         f"{json.dumps(cfg['ratio'])}")
+                         f"{show_value(cfg['ratio'])}")
     if family == "mm-lb":
         out = (family, *make_mm_lb(H, n_exp))
     elif family == "bc-lb":

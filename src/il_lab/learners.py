@@ -8,7 +8,6 @@ over states strictly before t (empty product 1 at t=0). The alternative that
 includes the current state is exposed via include_current for sensitivity
 checks, not used by defaults."""
 
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -16,7 +15,8 @@ import numpy as np
 from .datasets import SplitConfig, cell_sums, empirical_occupancy, split, \
     visited_table
 from .matching import MatchTarget, extract_policy, solve_occupancy_match
-from .mdp import MarkovPolicy, OccupancyMeasures, exact_occupancy, rollout_batch
+from .mdp import MarkovPolicy, OccupancyMeasures, exact_occupancy, \
+    rollout_batch, show_value
 
 TIE_RULES = ("lowest", "uniform")
 # What ReConfig takes for a field of each annotated type, as JSON reads it:
@@ -74,7 +74,7 @@ class ReConfig:
             kind, types = _JSON_TYPES[f.type]
             if type(value) not in types:
                 raise ValueError(f"{f.name} must be {kind}, got "
-                                 f"{json.dumps(value)}")
+                                 f"{show_value(value)}")
         SplitConfig(self.frac1, self.split_seed)  # raises on a bad frac1
         _check_tie_rule(self.tie_rule)
         if self.replay_mode not in ("exact", "mc"):

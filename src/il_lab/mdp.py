@@ -7,8 +7,11 @@ rollout_batch matches the scalar reference rollout (tests/oracles.py) bit
 for bit: it absorbs each trajectory's hash prefix once, and it draws by
 exact integer CDF thresholds instead of comparing floats, most draws as one
 lookup in a row's guide table and the rest by counting the row's thresholds
-(rng.categorical_rows). Its draw tables are built once per mdp and once per
-policy: both are frozen, so they are cached by identity."""
+(rng.categorical_rows). A step whose table is fixed (every row
+deterministic, as in every expert) draws by lookup, and its stream is not
+hashed: each step costs at most three absorb rounds, none for a fixed
+stream. Its draw tables are built once per mdp and once per policy: both
+are frozen, so they are cached by identity."""
 
 import json
 from dataclasses import dataclass
@@ -144,8 +147,10 @@ def rollout_batch(mdp, policy, n, seed):
     hash(s_i, t, 0), the action at step t on hash(s_i, t, 1). The loop keeps
     (H, n) buffers and hashes incrementally: trajectory seeds are absorbed
     once per call, t once per step, and the stream tag last, so each step
-    costs three absorb rounds. Draws come from the policy's draw tables and
-    the mdp's arrival tables (_arrival_tables), each built once per object."""
+    costs at most three absorb rounds; none for a stream whose table is
+    fixed, since no hash can change its draws. Draws come from the policy's
+    draw tables and the mdp's arrival tables (_arrival_tables), each built
+    once per object."""
     _check_dims(mdp, policy)
     H, A = mdp.horizon, mdp.num_actions
     arrive = _arrival_tables(mdp)
@@ -157,13 +162,18 @@ def rollout_batch(mdp, policy, n, seed):
     actions = np.empty((H, n), dtype=np.int64)
     rows = np.zeros(n, dtype=np.int64)
     for t in range(H):
-        np.copyto(step, prefix)
-        absorb(step, t, tmp)
-        np.copyto(h, step)
-        absorb(h, 0, tmp)
+        hash_state = arrive[t][2] is None
+        hash_action = pi[t][2] is None
+        if hash_state or hash_action:
+            np.copyto(step, prefix)
+            absorb(step, t, tmp)
+        if hash_state:
+            np.copyto(h, step)
+            absorb(h, 0, tmp)
         states[t] = categorical_rows(arrive[t], rows, h)
-        np.copyto(h, step)
-        absorb(h, 1, tmp)
+        if hash_action:
+            np.copyto(h, step)
+            absorb(h, 1, tmp)
         actions[t] = categorical_rows(pi[t], states[t], h)
         np.multiply(states[t], A, out=rows)
         rows += actions[t]
@@ -251,14 +261,32 @@ def require_keys(doc, keys, what):
         raise ValueError(f"{what}: missing keys {', '.join(missing)}")
 
 
+def show_value(value):
+    """A value as a type-check message shows it: a JSON value as its JSON
+    text, anything else, such as a numpy scalar, as its str and its type,
+    e.g. 3 (numpy.int64). Never raises."""
+    kind = type(value)
+    if kind in (type(None), bool, int, float, str, list, dict):
+        try:
+            return json.dumps(value)
+        except (TypeError, ValueError, RecursionError):
+            pass  # a non-JSON value inside, or a cycle
+    module = "" if kind.__module__ == "builtins" else f"{kind.__module__}."
+    try:
+        text = str(value)
+    except Exception:
+        text = object.__repr__(value)
+    return f"{text} ({module}{kind.__qualname__})"
+
+
 def require_ints(doc, keys, what):
     """The values of keys in the parsed JSON doc, each of which must be a
-    JSON integer: null, a boolean, a string or a number such as 4.0 or 4.7
-    raises ValueError naming the key."""
+    JSON integer: null, a boolean, a string, a number such as 4.0 or 4.7,
+    or a numpy integer raises ValueError naming the key."""
     for k in keys:
         if type(doc[k]) is not int:
             raise ValueError(f"{what}: {k} must be an integer, got "
-                             f"{json.dumps(doc[k])}")
+                             f"{show_value(doc[k])}")
     return [doc[k] for k in keys]
 
 

@@ -10,8 +10,11 @@ thresholds and gives each row a guide table (indexed search, Chen & Asau
 1974; Devroye 1986, III.2.4): the draw's index for each of 2^8 equal
 buckets of h's top bits, or -1 where a threshold splits the bucket.
 categorical_rows answers most draws with one guide lookup and counts the
-row's own thresholds only for the rest. The scalar inverse-CDF draw it
-matches bit for bit is kept with the tests, in tests/oracles.py."""
+row's own thresholds only for the rest. A table whose every threshold is 0
+or 2^53 is fixed: no hash can change any of its rows' draws, so
+draw_tables stores each row's draw and categorical_rows answers with one
+lookup that reads no hash. The scalar inverse-CDF draw it matches bit for
+bit is kept with the tests, in tests/oracles.py."""
 
 import math
 
@@ -102,8 +105,11 @@ def draw_tables(probs):
     ceil(cdf_j * 2^53), or 2^53 ("never") from the row's last positive
     entry on, which folds the scalar draw's clamp to that entry into the
     table; the last entry is always "never" and is not stored. A table is
-    (thr, guide): thr the (R, k - 1) uint64 thresholds, and guide the rows'
-    guides, flat. Both arrays are read-only, so the tables can be shared."""
+    (thr, guide, fixed): thr the (R, k - 1) uint64 thresholds, guide the
+    rows' guides, flat, and fixed the rows' draws, (thr == 0).sum(axis=1)
+    in the guide's dtype, when every threshold is 0 or "never" (every row
+    deterministic, or k = 1), else None. All arrays are read-only, so the
+    tables can be shared."""
     probs = np.asarray(probs)
     *lead, R, k = probs.shape
     w = k - 1
@@ -111,10 +117,15 @@ def draw_tables(probs):
     thr = np.minimum(np.ceil(cdf * 2.0**_BITS), _NEVER).astype(np.uint64)
     thr[np.arange(w) >= last_positive(probs)[..., None]] = _NEVER
     L = math.prod(lead)
-    guides = _guides(thr.reshape(L * R, w), k)
-    thr.flags.writeable = guides.flags.writeable = False
-    return tuple(zip(thr.reshape(L, R, w),
-                     guides.reshape(L, R << _GUIDE_BITS)))
+    thr = thr.reshape(L, R, w)
+    guides = _guides(thr.reshape(L * R, w), k).reshape(L, R << _GUIDE_BITS)
+    zero = thr == 0
+    is_fixed = (zero | (thr == _NEVER)).all(axis=(1, 2))
+    draws = zero.sum(axis=2, dtype=guides.dtype)
+    for a in (thr, guides, draws):
+        a.flags.writeable = False
+    return tuple((t, g, d if f else None)
+                 for t, g, d, f in zip(thr, guides, draws, is_fixed))
 
 
 def _guides(thr, k):
@@ -145,9 +156,12 @@ def categorical_rows(table, rows, h_arr):
     table on hash h_arr[i], as the count of the row's thresholds at or
     below x = h >> 11, bit for bit the scalar inverse-CDF draw. Most draws
     are one lookup in the row's guide at the top bits of h; only the draws
-    whose bucket a threshold splits count their row's thresholds. Returns
-    the indices in the guide's dtype."""
-    thr, guide = table
+    whose bucket a threshold splits count their row's thresholds. A fixed
+    table answers every draw from its stored draws and reads no hash.
+    Returns the indices in the guide's dtype."""
+    thr, guide, fixed = table
+    if fixed is not None:
+        return fixed.take(rows)
     q = rows << _GUIDE_BITS
     q |= (h_arr >> _GUIDE_DROP).view(np.int64)
     out = guide.take(q)

@@ -197,6 +197,24 @@ def test_bad_input_ends_in_a_message(tmp_path):
     assert not (tmp_path / "p.json").exists()
 
 
+def test_config_array_literal_ends_in_a_message(tmp_path):
+    # An array literal is read as JSON, not as a file path.
+    prefix = gen_instance(tmp_path)
+    data = gen_dataset(tmp_path, prefix)
+    gen = ["gen-instance", "--H", "4", "--out", str(tmp_path / "x"),
+           "--config"]
+    train = ["train", "--learner", "re", "--instance", f"{prefix}.mdp.json",
+             "--dataset", str(data), "--out", str(tmp_path / "p.json"),
+             "--config"]
+    for argv in (gen + ['["mm-lb"]'], gen + [' [{"family": "mm-lb"}]'],
+                 train + ['[["frac1", 0.3]]'], train + ["[]"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        command = argv[0]
+        assert exc.value.code == f"{command}: --config must hold a JSON object"
+    assert not list(tmp_path.glob("x.*")) and not (tmp_path / "p.json").exists()
+
+
 def test_missing_files_and_config_keys_end_in_a_message(tmp_path):
     prefix = gen_instance(tmp_path)
     data = gen_dataset(tmp_path, prefix)

@@ -42,6 +42,20 @@ def test_config_validation():
         ExperimentConfig.from_json({**doc, "output": "rows.csv"})
 
 
+def test_config_names_a_numpy_value_and_its_type():
+    # A Python caller's numpy scalar fails the JSON type check in one line,
+    # not in a TypeError from formatting the message.
+    def config(H, count):
+        return ExperimentConfig({"family": "mm-lb"}, {"id": "mm"},
+                                {"H": [H], "n_exp": [16]}, {"count": count})
+    with pytest.raises(ValueError, match=r"^grid H entries must be integers, "
+                                         r"got 8 \(numpy\.int64\)$"):
+        config(np.int64(8), 2)
+    with pytest.raises(ValueError, match=r"^seeds: count must be an integer, "
+                                         r"got 2 \(numpy\.int32\)$"):
+        config(8, np.int32(2))
+
+
 # ------------------------------------------------------------------ cells
 
 def test_single_cell_row_fields():
@@ -188,8 +202,12 @@ def test_ratio_reaches_the_geometric_reset():
     ("mixture_seed", None, "mixture_seed must be an integer, got null"),
     ("ratio", True, "ratio must be a number, got true"),
     ("ratio", "0.5", 'ratio must be a number, got "0.5"'),
+    ("states", np.int64(16), "states must be an integer, got 16 "
+                             "(numpy.int64)"),
+    ("ratio", np.float64(0.5), "ratio must be a number, got 0.5 "
+                               "(numpy.float64)"),
 ], ids=["states", "actions", "construction-seed", "mixture-seed",
-        "ratio-true", "ratio-string"])
+        "ratio-true", "ratio-string", "states-numpy", "ratio-numpy"])
 def test_instance_values_must_have_their_json_type(key, value, message):
     # Not int() or float(): those build seed 1 from 1.5 and ratio 1 from
     # true.

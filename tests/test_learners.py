@@ -281,6 +281,15 @@ def test_re_config_validation():
         ReConfig(tie_rule="highest")
 
 
+def test_re_config_names_a_numpy_value_and_its_type():
+    with pytest.raises(ValueError, match=r"^split_seed must be an integer, "
+                                         r"got 3 \(numpy\.int64\)$"):
+        ReConfig(split_seed=np.int64(3))
+    with pytest.raises(ValueError, match=r"^frac1 must be a number, got 0\.5 "
+                                         r"\(numpy\.float64\)$"):
+        ReConfig(frac1=np.float64(0.5))
+
+
 def flag_pipeline(flag):
     """re_pipeline with one boolean ReConfig flag off and on, on a bc-lb
     dataset small enough that D1 leaves good states unvisited (so the

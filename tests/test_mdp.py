@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from il_lab.acceptance import random_mdp, random_policy
+from il_lab.harness import make_instance
 from il_lab.instances import make_mm_lb
 from il_lab.mdp import MarkovPolicy, OccupancyMeasures, TabularMdp, \
     deterministic_policy, exact_occupancy, l1_layer_distance, \
     mdp_from_json, mdp_to_json, policy_from_json, policy_to_json, \
-    policy_value, rollout_batch
+    policy_value, require_ints, rollout_batch, show_value
 from il_lab import mdp as mdp_module
 from il_lab.rng import mix64
 from oracles import Trajectory, rollout
@@ -130,21 +131,33 @@ def test_rollout_batch_matches_scalar_rollouts():
 def weighted_mdps(draw):
     """Small MDP and policy whose rows are integer weights 0..4 over their
     sum: zero-mass entries anywhere (trailing ones included), deterministic
-    rows, and dyadic rows such as 0.25/0.75."""
+    rows, and dyadic rows such as 0.25/0.75. Some steps (rho counting as
+    the first arrival step) are all one-hot rows, so their draw tables are
+    fixed and draw without a hash."""
     S, A, H = draw(st.integers(1, 4)), draw(st.integers(1, 3)), \
         draw(st.integers(1, 5))
 
     def rows(*shape):
         size = int(np.prod(shape))
+        if draw(st.booleans()):
+            hot = draw(st.lists(st.integers(0, shape[-1] - 1),
+                                min_size=size // shape[-1],
+                                max_size=size // shape[-1]))
+            return np.eye(shape[-1])[np.array(hot, dtype=np.int64)
+                                     ].reshape(shape)
         w = np.array(draw(st.lists(st.integers(0, 4), min_size=size,
                                    max_size=size)), dtype=np.float64)
         w = w.reshape(shape)
         w[..., 0] += w.sum(axis=-1) == 0
         return w / w.sum(axis=-1, keepdims=True)
 
-    mdp = TabularMdp(H, S, A, rows(S), rows(H - 1, S, A, S),
+    def steps(count, *shape):
+        return np.array([rows(*shape) for _ in range(count)]
+                        ).reshape(count, *shape)
+
+    mdp = TabularMdp(H, S, A, rows(S), steps(H - 1, S, A, S),
                      np.zeros((H, S, A)))
-    return mdp, MarkovPolicy(rows(H, S, A))
+    return mdp, MarkovPolicy(steps(H, S, A))
 
 
 @given(weighted_mdps(), st.integers(1, 12), st.integers(0, 2**64 - 1))
@@ -185,10 +198,46 @@ def test_draw_tables_are_built_once_and_read_only(clear_caches):
     # An equal policy is another object, with tables of its own.
     twin = MarkovPolicy(pol.probs)
     assert mdp_module._policy_tables(twin) is not pi
-    for thr, guide in arrive + pi:
-        for arr in (thr, guide):
-            with pytest.raises(ValueError):
-                arr[0] = 0
+    # A deterministic policy's tables are fixed; their stored draws are
+    # shared too.
+    fixed = mdp_module._policy_tables(
+        deterministic_policy(np.zeros((5, 4), dtype=np.int64), 3))
+    for thr, guide, draws in arrive + pi + fixed:
+        for arr in (thr, guide, draws):
+            if arr is not None:
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+    assert all(draws is None for _, _, draws in arrive + pi)
+    assert all(draws is not None for _, _, draws in fixed)
+
+
+def absorb_rounds(monkeypatch, mdp, policy, n):
+    """The absorb rounds one rollout_batch call runs at mdp's binding."""
+    rounds = []
+    absorb = mdp_module.absorb
+    with monkeypatch.context() as patch:
+        patch.setattr(mdp_module, "absorb",
+                      lambda *args: rounds.append(1) or absorb(*args))
+        rollout_batch(mdp, policy, n, 31)
+    return len(rounds)
+
+
+def test_fixed_streams_are_not_hashed(monkeypatch):
+    # Every expert is deterministic, so no action draw hashes. On mm-lb
+    # every transition after t = 0 is absorbing: only the first two
+    # arrivals hash, each with its step and its stream tag, after the
+    # prefix: 5 rounds against 1 + 3H = 25. On bc-lb every arrival hashes:
+    # 1 + 2H = 17. A change that turns a one-hot row into 1 - eps loses the
+    # shortcut and fails here.
+    H = 8
+    assert absorb_rounds(monkeypatch, *make_mm_lb(H, 1024), 64) == 5
+    _, mdp, expert = make_instance(
+        {"family": "bc-lb", "states": 20, "reset": "geometric"}, H, 1024, 0)
+    assert absorb_rounds(monkeypatch, mdp, expert, 64) == 17
+    # The same instance with a stochastic policy hashes every stream.
+    S, A = mdp.num_states, mdp.num_actions
+    assert absorb_rounds(monkeypatch, mdp, MarkovPolicy(
+        np.full((H, S, A), 1 / A)), 64) == 1 + 3 * H
 
 
 def test_initial_state_frequency():
@@ -305,6 +354,30 @@ def test_l1_rejects_bad_step():
 
 
 # ------------------------------------------------------------------- json
+
+def test_integer_check_names_a_numpy_value_and_its_type():
+    doc = {"horizon": np.int64(4), "num_states": 2, "num_actions": 2}
+    with pytest.raises(ValueError, match=r"^instance: horizon must be an "
+                                         r"integer, got 4 \(numpy\.int64\)$"):
+        require_ints(doc, ("horizon", "num_states"), "instance")
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("no text")
+
+
+def test_show_value_never_raises():
+    cyclic = []
+    cyclic.append(cyclic)
+    assert show_value(None) == "null" and show_value("4") == '"4"'
+    assert show_value([1, 2.5]) == "[1, 2.5]"
+    assert show_value(np.int64(3)) == "3 (numpy.int64)"
+    assert show_value((4,)) == "(4,) (tuple)"
+    assert show_value([np.int64(1)]).endswith(" (list)")
+    assert show_value(cyclic) == "[[...]] (list)"
+    assert show_value(Unprintable()).startswith("<")
+
 
 def test_mdp_json_round_trip():
     mdp, _ = make_mm_lb(5, 256)

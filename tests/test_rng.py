@@ -151,18 +151,21 @@ def every_row(probs, hs):
     return np.repeat(np.arange(len(probs)), len(hs)), np.tile(hs, len(probs))
 
 
+def bucket_edges():
+    """The lowest and the highest hash of every guide bucket."""
+    low = np.arange(rng._BUCKETS, dtype=np.uint64) * np.uint64(BUCKET)
+    high = low + np.uint64(BUCKET - 1)
+    return np.concatenate([low << np.uint64(11),
+                           (high << np.uint64(11)) | np.uint64(0x7FF)])
+
+
 def test_guide_draws_at_bucket_edges():
     # The lowest draw of every bucket and the highest, one below the next
     # bucket's edge, on rows with thresholds inside buckets and on them.
     probs = np.array([[0.1, 0.2, 0.0, 0.7], [0.3, 0.3, 0.4, 0.0],
                       [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 1.0, 0.0],
                       [0.7, 0.2, 0.1, 0.0]])
-    b = np.arange(rng._BUCKETS, dtype=np.uint64)
-    low = b * np.uint64(BUCKET)
-    high = low + np.uint64(BUCKET - 1)
-    hs = np.concatenate([low << np.uint64(11),
-                         (high << np.uint64(11)) | np.uint64(0x7FF)])
-    assert_rows_match_scalar(probs, *every_row(probs, hs))
+    assert_rows_match_scalar(probs, *every_row(probs, bucket_edges()))
 
 
 def test_guide_rows_on_bucket_edges_never_search():
@@ -174,7 +177,7 @@ def test_guide_rows_on_bucket_edges_never_search():
                       [0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     hs = np.concatenate([near_cdf(probs),
                          mix64_array(13, np.arange(200, dtype=np.uint64))])
-    _, guide = assert_rows_match_scalar(probs, *every_row(probs, hs))
+    _, guide, _ = assert_rows_match_scalar(probs, *every_row(probs, hs))
     assert (guide >= 0).all()
 
 
@@ -201,7 +204,7 @@ def test_guide_bucket_holding_several_thresholds():
     probs = (w / w.sum())[None]
     hs = np.concatenate([near_cdf(probs),
                          mix64_array(15, np.arange(500, dtype=np.uint64))])
-    _, guide = assert_rows_match_scalar(probs, *every_row(probs, hs))
+    _, guide, _ = assert_rows_match_scalar(probs, *every_row(probs, hs))
     assert (guide < 0).mean() > 0.9
 
 
@@ -228,11 +231,61 @@ def test_guide_misses_search_every_block():
     some = np.r_[0:4, KEY_ROWS - 3:R]
     hs = near_cdf(kinds)
     rows, hs = np.repeat(some, len(hs)), np.tile(hs, len(some))
-    _, guide = assert_rows_match_scalar(probs, rows, hs)
+    _, guide, _ = assert_rows_match_scalar(probs, rows, hs)
     bucket = (hs >> np.uint64(64 - rng._GUIDE_BITS)).astype(np.int64)
     missed = rows[guide[(rows << rng._GUIDE_BITS) + bucket] < 0]
     assert (missed < KEY_ROWS).any()
     assert (missed >= KEY_ROWS).any()
+
+
+# ------------------------------------------------------------ fixed tables
+
+def is_fixed(probs):
+    return draw_tables(probs[None])[0][2] is not None
+
+
+def test_one_hot_tables_are_fixed():
+    # One-hot rows at the first, a middle and the last index: every
+    # threshold is 0 or "never", and the stored draws are the hot indices.
+    probs = np.eye(5)[[0, 2, 4, 2]]
+    thr, guide, fixed = draw_tables(probs[None])[0]
+    assert set(thr.ravel().tolist()) <= {0, 2**53}
+    assert fixed.tolist() == [0, 2, 4, 2] and fixed.dtype == guide.dtype
+    # A k = 1 table has no thresholds and always draws 0.
+    thr, _, fixed = draw_tables(np.ones((1, 3, 1)))[0]
+    assert thr.shape == (3, 0) and fixed.tolist() == [0, 0, 0]
+
+
+def test_a_hash_that_can_move_a_draw_unfixes_the_table():
+    # Mass 2^-60 at entry 0 rounds to threshold 1, not 0: the draw on
+    # x = 0 is 0 and every other draw is 1, so the table is not fixed.
+    tiny = np.array([[2.0**-60, 1.0, 0.0]])
+    thr, _, fixed = draw_tables(tiny[None])[0]
+    assert thr.tolist() == [[1, 2**53]] and fixed is None
+    hs = np.array([0, 1 << 11, (1 << 64) - 1], dtype=np.uint64)
+    assert_rows_match_scalar(tiny, np.zeros(3, np.int64), hs)
+    assert [categorical(tiny[0], int(h)) for h in hs] == [0, 1, 1]
+    # One stochastic row among one-hot ones.
+    mixed = np.eye(3)[[0, 1, 2, 1]]
+    mixed[3] = [0.0, 0.5, 0.5]
+    assert not is_fixed(mixed)
+    assert is_fixed(np.eye(3)[[0, 1, 2, 1]])
+
+
+def test_fixed_tables_draw_as_the_scalar_oracle():
+    # Every row of each fixed table, at the lowest and the highest hash of
+    # every bucket and on two unrelated hash arrays: the draws equal the
+    # scalar oracle's and do not depend on the hashes.
+    for probs in (np.eye(4)[[3, 0, 1, 2, 0]], np.ones((2, 1))):
+        assert is_fixed(probs)
+        table = assert_rows_match_scalar(probs,
+                                         *every_row(probs, bucket_edges()))
+        rows = np.arange(600) % len(probs)
+        a = mix64_array(17, np.arange(600, dtype=np.uint64))
+        b = mix64_array(18, np.arange(600, dtype=np.uint64))
+        assert_rows_match_scalar(probs, rows, a)
+        assert np.array_equal(categorical_rows(table, rows, a),
+                              categorical_rows(table, rows, b))
 
 
 def test_last_positive():
