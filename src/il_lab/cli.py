@@ -3,7 +3,10 @@ experiments, event probes, slope fits, and the acceptance suite.
 gen-instance --config takes an experiment's instance mapping and train
 --config its learner mapping without the id; both go to the functions an
 experiment uses, harness.make_instance and harness.train, so the defaults
-and the checks on config keys and types are the experiment's."""
+and the checks on config keys and kinds are the experiment's. Every JSON
+file and mapping is checked by mdp.check_json, so bad input ends in one
+line, "<command>: <what>: <key> must be <kind>, got <value>" for a value
+of the wrong kind."""
 
 import argparse
 import json
@@ -39,18 +42,15 @@ def _cmd_gen_dataset(args):
 
 
 def _config_mapping(spec_text):
-    """The JSON object of --config, given as a literal or a file path. Text
-    that starts with { or [ is a literal, so an array ends in the message
-    below instead of a missing file."""
+    """The JSON document of --config, given as a literal or a file path;
+    the reader it goes to checks that it is an object. Text that starts
+    with { or [ is a literal, so an array ends in that reader's message
+    instead of a missing file."""
     if not spec_text:
         return {}
     if spec_text.lstrip().startswith(("{", "[")):
-        doc = json.loads(spec_text)
-    else:
-        doc = load_json(spec_text)
-    if not isinstance(doc, dict):
-        raise ValueError("--config must hold a JSON object")
-    return doc
+        return json.loads(spec_text)
+    return load_json(spec_text)
 
 
 def _cmd_train(args):

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import OccupancyMeasures, exact_occupancy, require_ints, \
-    require_keys, rollout_batch
+from .mdp import OccupancyMeasures, check_json, exact_occupancy, \
+    rollout_batch
 from .rng import mix64_array
 
 
@@ -176,12 +176,16 @@ def save_dataset(dataset, path):
             fh.write(json.dumps(pairs.tolist()) + "\n")
 
 
+# The keys of a dataset file's header line, as save_dataset writes them.
+_HEADER_KINDS = {"n": int, "H": int, "provenance": list}
+
+
 def load_dataset(path):
     with open(path) as fh:
         header = json.loads(fh.readline())
         rows = [json.loads(line) for line in fh if line.strip()]
-    require_keys(header, ("n", "H", "provenance"), "dataset header")
-    n, H = require_ints(header, ("n", "H"), "dataset header")
+    check_json(header, _HEADER_KINDS, "dataset header", required=_HEADER_KINDS)
+    n, H = header["n"], header["H"]
     if len(rows) != n:
         raise ValueError("trajectory count disagrees with header")
     for i, row in enumerate(rows):

@@ -5,9 +5,10 @@ noise never enters a reported gap. Per-run seed = hash(base, cell, seed_idx),
 so runs are order-independent and mixtures pair with single-instance runs.
 
 make_instance and train are the only places that read instance and learner
-configs: every default and type check lives there, and a key nothing
-reads is an error. The CLI hands them an experiment's own instance and
-learner mappings.
+configs: every default lives there, and a key nothing reads is an error.
+The CLI hands them an experiment's own instance and learner mappings.
+Every config here, like every file the lab reads, is checked by one
+function, mdp.check_json, against its own {key: JSON kind} map.
 
 A grid cell's seeds share one instance: the constructors return the same
 (mdp, expert) for equal arguments, and run_cell evaluates that expert once
@@ -27,8 +28,9 @@ import numpy as np
 from .datasets import Dataset, sample_dataset
 from .instances import (INSTANCE_CACHE, make_bc_lb, make_fan, make_mm_lb,
                         make_two_state_uniform, geometric_reset)
-from .learners import ReConfig, bc_train, mm_train, re_train
-from .mdp import policy_value, require_ints, rollout_batch, show_value
+from .learners import RE_CONFIG_KINDS, ReConfig, bc_train, mm_train, \
+    re_train
+from .mdp import check_json, policy_value, rollout_batch
 from .rng import mix64
 
 DEFAULT_E3_COEFF = 0.5
@@ -42,7 +44,9 @@ _GAP_TOL = 1e-9
 class ExperimentConfig:
     """instance: {"family": ..., params...}; learner: {"id": bc|mm|re,
     params...}; grid: {"H": [...], "n_exp": [...]}; seeds: {"count", "base"}.
-    Each is a JSON object; grid entries and seeds are JSON integers."""
+    Each is a JSON object, the grid's H and n_exp are nonempty arrays of
+    integers and the seeds are integers, all checked by mdp.check_json as
+    the config is built (_EXPERIMENT_KINDS, _GRID_KINDS, _SEEDS_KINDS)."""
 
     instance: dict
     learner: dict
@@ -50,34 +54,23 @@ class ExperimentConfig:
     seeds: dict
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, dict):
-                raise ValueError(f"{f.name} must be a JSON object, not "
-                                 f"{type(value).__name__}")
-        _reject_unread(self.grid.keys() - {"H", "n_exp"}, "grid")
-        _reject_unread(self.seeds.keys() - {"count", "base"}, "seeds")
-        for key in ("H", "n_exp"):
-            values = self.grid.get(key)
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ValueError("grid must carry nonempty H and n_exp lists")
-            for v in values:
-                if type(v) is not int:
-                    raise ValueError(f"grid {key} entries must be integers, "
-                                     f"got {show_value(v)}")
-        require_ints(self.seeds, [k for k in ("count", "base")
-                                  if k in self.seeds], "seeds")
-        if self.seeds.get("count", 0) < 1:
+        check_json(vars(self), _EXPERIMENT_KINDS, "experiment config")
+        check_json(self.grid, _GRID_KINDS, "grid", required=_GRID_KINDS)
+        check_json(self.seeds, _SEEDS_KINDS, "seeds", required=("count",))
+        if self.seeds["count"] < 1:
             raise ValueError("need at least one seed")
 
     @classmethod
     def from_json(cls, doc):
         """The config of a JSON object with exactly the field names as keys;
         a missing or unknown key raises ValueError."""
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ValueError(f"experiment config: {exc}") from None
+        return cls(**check_json(doc, _EXPERIMENT_KINDS, "experiment config",
+                                required=_EXPERIMENT_KINDS))
+
+
+_EXPERIMENT_KINDS = {f.name: dict for f in fields(ExperimentConfig)}
+_GRID_KINDS = {"H": list[int], "n_exp": list[int]}
+_SEEDS_KINDS = {"count": int, "base": int}
 
 
 @dataclass(frozen=True)
@@ -100,14 +93,11 @@ class ResultRow:
 CSV_COLUMNS = [f.name for f in fields(ResultRow)]
 
 
-def _reject_unread(cfg, what):
-    if cfg:
-        raise ValueError(f"unknown {what} keys: " + ", ".join(sorted(cfg)))
-
-
-# The instance keys that hold a count, a size or a seed, in the order their
-# types are checked.
-_INT_KEYS = ("states", "actions", "construction_seed", "mixture_seed")
+# Every key an instance config may hold, whatever its family, in the order
+# the kinds are checked.
+_INSTANCE_KINDS = {"family": str, "states": int, "actions": int,
+                   "construction_seed": int, "mixture_seed": int,
+                   "reset": str, "ratio": float}
 
 
 def _reset_dist(cfg, num_states):
@@ -123,17 +113,12 @@ def _reset_dist(cfg, num_states):
 
 def make_instance(inst_cfg, H, n_exp, draw_index):
     """Resolve one grid cell to (component_tag, mdp, expert). inst_cfg is
-    a JSON object whose counts and seeds are JSON integers and whose ratio
-    is a number. Each key is taken out of a copy of inst_cfg as it is read;
+    a JSON object whose keys and their kinds (_INSTANCE_KINDS) mdp.check_json
+    checks first. Each key is then taken out of a copy of inst_cfg as it is
+    read, since which keys are read depends on the family and the reset;
     one left over raises ValueError naming it."""
-    if not isinstance(inst_cfg, dict):
-        raise ValueError("instance config must be a JSON object")
-    cfg = dict(inst_cfg)
+    cfg = dict(check_json(inst_cfg, _INSTANCE_KINDS, "instance"))
     family = cfg.pop("family", None)
-    require_ints(cfg, [k for k in _INT_KEYS if k in cfg], f"{family} instance")
-    if "ratio" in cfg and type(cfg["ratio"]) not in (int, float):
-        raise ValueError(f"{family} instance: ratio must be a number, got "
-                         f"{show_value(cfg['ratio'])}")
     if family == "mm-lb":
         out = (family, *make_mm_lb(H, n_exp))
     elif family == "bc-lb":
@@ -157,27 +142,25 @@ def make_instance(inst_cfg, H, n_exp, draw_index):
             out = ("bc-lb", *make_bc_lb(*bc_args))
     else:
         raise ValueError(f"unknown instance family {family!r}")
-    _reject_unread(cfg, f"{family} instance")
+    check_json(cfg, {}, f"{family} instance")
     return out
 
 
 def train(learner, options, dataset, mdp):
     """The learner dispatch: bc reads tie_rule, mm reads nothing, re reads
-    the ReConfig fields. A key the learner does not read raises ValueError
-    naming it."""
-    opts = dict(options)
+    the ReConfig fields. options must be a JSON object; a key the learner
+    does not read, or a value of the wrong kind, raises ValueError naming
+    it (mdp.check_json)."""
     if learner == "bc":
-        tie_rule = opts.pop("tie_rule", "lowest")
-        _reject_unread(opts, "bc config")
+        check_json(options, {"tie_rule": str}, "bc config")
         return bc_train(dataset, mdp.num_states, mdp.num_actions,
-                        mdp.horizon, tie_rule)
+                        mdp.horizon, options.get("tie_rule", "lowest"))
     if learner == "mm":
-        _reject_unread(opts, "mm config")
+        check_json(options, {}, "mm config")
         return mm_train(dataset, mdp)
     if learner == "re":
-        _reject_unread(opts.keys() - {f.name for f in fields(ReConfig)},
-                       "replay-estimation config")
-        return re_train(dataset, mdp, ReConfig(**opts))
+        check_json(options, RE_CONFIG_KINDS, "replay-estimation config")
+        return re_train(dataset, mdp, ReConfig(**options))
     raise ValueError(f"unknown learner {learner!r}")
 
 

@@ -15,15 +15,10 @@ import numpy as np
 from .datasets import SplitConfig, cell_sums, empirical_occupancy, split, \
     visited_table
 from .matching import MatchTarget, extract_policy, solve_occupancy_match
-from .mdp import MarkovPolicy, OccupancyMeasures, exact_occupancy, \
-    rollout_batch, show_value
+from .mdp import MarkovPolicy, OccupancyMeasures, check_json, \
+    exact_occupancy, rollout_batch
 
 TIE_RULES = ("lowest", "uniform")
-# What ReConfig takes for a field of each annotated type, as JSON reads it:
-# a bool is not an integer, an integer is a number, and a string may be null.
-_JSON_TYPES = {bool: ("true or false", (bool,)), int: ("an integer", (int,)),
-               float: ("a number", (int, float)),
-               str: ("a string or null", (str, type(None)))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +51,9 @@ class ReConfig:
     seeded rollouts. use_full_data switches the empirical side from D2 to
     all of D. oracle_override in {None, "ones", "zeros"} substitutes a
     constant membership table (estimator identity tests). include_current
-    flips the prefix-weight convention."""
+    flips the prefix-weight convention. Each field must have the JSON kind
+    of its annotation (RE_CONFIG_KINDS), checked by mdp.check_json as the
+    config is built."""
 
     frac1: float = 0.5
     split_seed: int = 0
@@ -69,12 +66,7 @@ class ReConfig:
     include_current: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind, types = _JSON_TYPES[f.type]
-            if type(value) not in types:
-                raise ValueError(f"{f.name} must be {kind}, got "
-                                 f"{show_value(value)}")
+        check_json(vars(self), RE_CONFIG_KINDS, "replay-estimation config")
         SplitConfig(self.frac1, self.split_seed)  # raises on a bad frac1
         _check_tie_rule(self.tie_rule)
         if self.replay_mode not in ("exact", "mc"):
@@ -83,6 +75,10 @@ class ReConfig:
             raise ValueError("n_replay must be positive in mc mode")
         if self.oracle_override not in (None, "ones", "zeros"):
             raise ValueError("oracle_override must be None, 'ones' or 'zeros'")
+
+
+# Each ReConfig field with the JSON kind of its annotation.
+RE_CONFIG_KINDS = {f.name: f.type for f in fields(ReConfig)}
 
 
 def _check_tie_rule(tie_rule):

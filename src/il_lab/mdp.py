@@ -250,19 +250,8 @@ def mdp_to_json(mdp):
     }
 
 
-def require_keys(doc, keys, what):
-    """Raises ValueError unless the parsed JSON doc is an object holding
-    every one of keys; the message names what was read and what is
-    missing."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what}: not a JSON object")
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise ValueError(f"{what}: missing keys {', '.join(missing)}")
-
-
 def show_value(value):
-    """A value as a type-check message shows it: a JSON value as its JSON
+    """A value as a kind-check message shows it: a JSON value as its JSON
     text, anything else, such as a numpy scalar, as its str and its type,
     e.g. 3 (numpy.int64). Never raises."""
     kind = type(value)
@@ -279,22 +268,59 @@ def show_value(value):
     return f"{text} ({module}{kind.__qualname__})"
 
 
-def require_ints(doc, keys, what):
-    """The values of keys in the parsed JSON doc, each of which must be a
-    JSON integer: null, a boolean, a string, a number such as 4.0 or 4.7,
-    or a numpy integer raises ValueError naming the key."""
-    for k in keys:
-        if type(doc[k]) is not int:
-            raise ValueError(f"{what}: {k} must be an integer, got "
-                             f"{show_value(doc[k])}")
-    return [doc[k] for k in keys]
+# The JSON kind a reader names for a key, by the Python type it stands for:
+# how a message names it, the types json.load gives for it, and the type of
+# every item of an array kind, which must then be nonempty. A bool is not an
+# integer, an integer is a number, and a string may be null.
+JSON_KINDS = {
+    int: ("an integer", (int,), None),
+    float: ("a number", (int, float), None),
+    bool: ("true or false", (bool,), None),
+    str: ("a string or null", (str, type(None)), None),
+    dict: ("a JSON object", (dict,), None),
+    list: ("an array", (list,), None),
+    list[int]: ("a nonempty array of integers", (list,), int),
+}
+
+
+def check_json(doc, kinds, what, required=()):
+    """The one check of every JSON config and file the lab reads; returns
+    doc. doc must be an object that holds every key in required and no key
+    outside kinds, and each value must have the JSON kind (a JSON_KINDS key)
+    that kinds gives for its key; the values are checked in the order of
+    kinds. A failure raises ValueError in one of four shapes:
+    "<what> must be a JSON object, got <value>", "<what>: missing keys a, b",
+    "unknown <what> keys: a, b" and "<what>: <key> must be <kind>, got
+    <value>". An empty kinds takes the object with no keys, so a reader that
+    pops what it reads can check that nothing is left over."""
+    if type(doc) is not dict:
+        raise ValueError(f"{what} must be a JSON object, got "
+                         f"{show_value(doc)}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ValueError(f"{what}: missing keys {', '.join(missing)}")
+    if not doc.keys() <= kinds.keys():
+        raise ValueError(f"unknown {what} keys: "
+                         + ", ".join(sorted(doc.keys() - kinds.keys())))
+    for key, kind in kinds.items():
+        if key in doc:
+            value = doc[key]
+            phrase, types, item = JSON_KINDS[kind]
+            if type(value) not in types or (item and not (
+                    value and all(type(v) is item for v in value))):
+                raise ValueError(f"{what}: {key} must be {phrase}, got "
+                                 f"{show_value(value)}")
+    return doc
+
+
+# The keys of an instance file, as mdp_to_json writes them; all required.
+_MDP_KINDS = {"horizon": int, "num_states": int, "num_actions": int,
+              "rho": list, "transitions": list, "rewards": list}
 
 
 def mdp_from_json(doc):
-    require_keys(doc, ("horizon", "num_states", "num_actions", "rho",
-                       "transitions", "rewards"), "instance")
-    H, S, A = require_ints(doc, ("horizon", "num_states", "num_actions"),
-                           "instance")
+    check_json(doc, _MDP_KINDS, "instance", required=_MDP_KINDS)
+    H, S, A = doc["horizon"], doc["num_states"], doc["num_actions"]
     return TabularMdp(
         horizon=H, num_states=S, num_actions=A,
         rho=np.array(doc["rho"], dtype=np.float64),
@@ -310,8 +336,14 @@ def policy_to_json(policy):
             "probs": policy.probs.tolist()}
 
 
+# The keys of a policy file, as policy_to_json writes them; only probs is
+# read.
+_POLICY_KINDS = {"horizon": int, "num_states": int, "num_actions": int,
+                 "probs": list}
+
+
 def policy_from_json(doc):
-    require_keys(doc, ("probs",), "policy")
+    check_json(doc, _POLICY_KINDS, "policy", required=("probs",))
     return MarkovPolicy(np.array(doc["probs"], dtype=np.float64))
 
 

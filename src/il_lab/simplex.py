@@ -41,7 +41,7 @@ _PIVOT_MIN = 1e-9
 _MAX_ROUNDS = 20
 
 
-def simplex(A, b, g, basis, stall_limit=STALL_LIMIT):
+def simplex(A, b, g, basis):
     """Returns (x, objective, status, iterations) with status in
     {"optimal", "numeric-failure"}; objective is the certificate's dual bound.
     basis must index a basis that is feasible with every nonbasic x at 0."""
@@ -79,7 +79,7 @@ def simplex(A, b, g, basis, stall_limit=STALL_LIMIT):
         T[:m, :n] = Binv @ A
         T[:m, n] = xb
         T[m, :n] = z
-        claimed, it = _iterate(T, basis, g, xn, lo, hi, up, down, stall_limit,
+        claimed, it = _iterate(T, basis, g, xn, lo, hi, up, down, STALL_LIMIT,
                                50 * n - total_it)
         total_it += it
         if not claimed:

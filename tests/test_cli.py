@@ -1,12 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import il_lab
 from il_lab.cli import main
 from il_lab.datasets import load_dataset
-from il_lab.harness import CSV_COLUMNS, load_csv, make_instance
+from il_lab.harness import CSV_COLUMNS, ExperimentConfig, load_csv, \
+    make_instance, train
 from il_lab.instances import make_mm_lb
 from il_lab.mdp import load_json, mdp_from_json, policy_from_json, \
     policy_value, rollout_batch
@@ -86,13 +92,13 @@ def test_gen_instance_files_are_pinned(tmp_path, config, draw, digests):
 
 @pytest.mark.parametrize("config,message", [
     ('{"family": "bc-lb", "states": 4.5}',
-     "bc-lb instance: states must be an integer, got 4.5"),
+     "instance: states must be an integer, got 4.5"),
     ('{"family": "bc-lb", "construction_seed": 1.5}',
-     "bc-lb instance: construction_seed must be an integer, got 1.5"),
+     "instance: construction_seed must be an integer, got 1.5"),
     ('{"family": "bc-lb", "reset": "geometric", "ratio": true}',
-     "bc-lb instance: ratio must be a number, got true"),
+     "instance: ratio must be a number, got true"),
     ('{"family": "mixture", "mixture_seed": "0"}',
-     'mixture instance: mixture_seed must be an integer, got "0"'),
+     'instance: mixture_seed must be an integer, got "0"'),
     ('{"family": "gridworld"}', "unknown instance family 'gridworld'"),
 ], ids=["states", "construction-seed", "ratio", "mixture-seed", "family"])
 def test_gen_instance_rejects_a_bad_mapping(tmp_path, config, message):
@@ -188,7 +194,8 @@ def test_bad_input_ends_in_a_message(tmp_path):
         (train + ['{"frac1": 0.3'],
          "train: Expecting ',' delimiter: line 1 column 14 (char 13)"),
         (train + [str(pairs_path)],
-         "train: --config must hold a JSON object"),
+         "train: replay-estimation config must be a JSON object, got "
+         '[["frac1", 0.3]]'),
     ]
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
@@ -206,12 +213,18 @@ def test_config_array_literal_ends_in_a_message(tmp_path):
     train = ["train", "--learner", "re", "--instance", f"{prefix}.mdp.json",
              "--dataset", str(data), "--out", str(tmp_path / "p.json"),
              "--config"]
-    for argv in (gen + ['["mm-lb"]'], gen + [' [{"family": "mm-lb"}]'],
-                 train + ['[["frac1", 0.3]]'], train + ["[]"]):
+    re_config = "train: replay-estimation config must be a JSON object, got"
+    for argv, message in (
+            (gen + ['["mm-lb"]'],
+             'gen-instance: instance must be a JSON object, got ["mm-lb"]'),
+            (gen + [' [{"family": "mm-lb"}]'],
+             "gen-instance: instance must be a JSON object, got "
+             '[{"family": "mm-lb"}]'),
+            (train + ['[["frac1", 0.3]]'], f'{re_config} [["frac1", 0.3]]'),
+            (train + ["[]"], f"{re_config} []")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        command = argv[0]
-        assert exc.value.code == f"{command}: --config must hold a JSON object"
+        assert exc.value.code == message
     assert not list(tmp_path.glob("x.*")) and not (tmp_path / "p.json").exists()
 
 
@@ -232,8 +245,7 @@ def test_missing_files_and_config_keys_end_in_a_message(tmp_path):
                   "--config", str(missing)], f"train: [Errno 2] {no_file}"),
         (["experiment", "--config", str(exp_cfg), "--out",
           str(tmp_path / "rows.csv")],
-         "experiment: experiment config: ExperimentConfig.__init__() missing "
-         "3 required positional arguments: 'learner', 'grid', and 'seeds'"),
+         "experiment: experiment config: missing keys learner, grid, seeds"),
     ]
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
@@ -248,12 +260,14 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 @pytest.mark.parametrize("kind,text,message", [
     ("instance", '{"horizon": 4}', "train: instance: missing keys "
      "num_states, num_actions, rho, transitions, rewards"),
-    ("instance", "[4, 2, 2]", "train: instance: not a JSON object"),
+    ("instance", "[4, 2, 2]",
+     "train: instance must be a JSON object, got [4, 2, 2]"),
     ("policy", '{"horizon": 4, "num_states": 2}',
      "gen-dataset: policy: missing keys probs"),
     ("dataset", '{"n": 0, "provenance": []}\n',
      "train: dataset header: missing keys H"),
-    ("dataset", "[0, 4]\n", "train: dataset header: not a JSON object"),
+    ("dataset", "[0, 4]\n",
+     "train: dataset header must be a JSON object, got [0, 4]"),
     ("csv", CSV_HEADER.replace(",H,", ",")
      + "\nsyn,syn,2,2,10,0,0.5,ok,syn,0.000\n",
      "fit: {path}: missing columns H"),
@@ -352,7 +366,7 @@ def test_train_rejects_a_re_value_of_the_wrong_type(tmp_path, config,
     with pytest.raises(SystemExit) as exc:
         main(["train", "--learner", "re", "--instance", f"{prefix}.mdp.json",
               "--dataset", str(data), "--out", str(out), "--config", config])
-    assert exc.value.code == f"train: {message}"
+    assert exc.value.code == f"train: replay-estimation config: {message}"
     assert not out.exists()
 
 
@@ -449,23 +463,27 @@ def test_experiment_requires_output_path(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("instance", ["mm-lb"], "instance must be a JSON object, not list"),
-    ("learner", [["id", "re"]], "learner must be a JSON object, not list"),
+    ("instance", ["mm-lb"],
+     'experiment config: instance must be a JSON object, got ["mm-lb"]'),
+    ("learner", [["id", "re"]],
+     "experiment config: learner must be a JSON object, got "
+     '[["id", "re"]]'),
     ("grid", {"H": [4.5], "n_exp": [8]},
-     "grid H entries must be integers, got 4.5"),
+     "grid: H must be a nonempty array of integers, got [4.5]"),
     ("grid", {"H": [4], "n_exp": [8, "16"]},
-     'grid n_exp entries must be integers, got "16"'),
+     'grid: n_exp must be a nonempty array of integers, got [8, "16"]'),
     ("grid", {"H": 4, "n_exp": [8]},
-     "grid must carry nonempty H and n_exp lists"),
+     "grid: H must be a nonempty array of integers, got 4"),
     ("seeds", {"count": 2.5}, "seeds: count must be an integer, got 2.5"),
     ("seeds", {"count": 1, "base": True},
      "seeds: base must be an integer, got true"),
     ("instance", {"family": "bc-lb", "construction_seed": 1.5},
-     "bc-lb instance: construction_seed must be an integer, got 1.5"),
+     "instance: construction_seed must be an integer, got 1.5"),
     ("instance", {"family": "bc-lb", "reset": "geometric", "ratio": True},
-     "bc-lb instance: ratio must be a number, got true"),
+     "instance: ratio must be a number, got true"),
     ("learner", {"id": "re", "use_full_data": "no"},
-     'use_full_data must be true or false, got "no"'),
+     'replay-estimation config: use_full_data must be true or false, '
+     'got "no"'),
 ], ids=["instance-list", "learner-list", "grid-H", "grid-n_exp",
         "grid-H-scalar", "seeds-count", "seeds-base", "construction-seed",
         "ratio", "use-full-data"])
@@ -538,3 +556,165 @@ def test_verify_rejects_unknown_criteria(only, capsys):
     assert "--only" in captured.err
     if only != "8,x":
         assert "valid ids are 1-9" in captured.err
+
+
+# ------------------------------------------------------ one JSON kind check
+
+def read_instance_file(tmp_path, key, value, cli):
+    prefix = gen_instance(tmp_path)
+    doc = {**load_json(f"{prefix}.mdp.json"), key: value}
+    if not cli:
+        return lambda: mdp_from_json(doc)
+    bad = tmp_path / "bad.mdp.json"
+    bad.write_text(json.dumps(doc))
+    return ["gen-dataset", "--instance", str(bad), "--policy",
+            f"{prefix}.policy.json", "--n", "4",
+            "--out", str(tmp_path / "d.jsonl")]
+
+
+def read_policy_file(tmp_path, key, value, cli):
+    prefix = gen_instance(tmp_path)
+    doc = {**load_json(f"{prefix}.policy.json"), key: value}
+    if not cli:
+        return lambda: policy_from_json(doc)
+    bad = tmp_path / "bad.policy.json"
+    bad.write_text(json.dumps(doc))
+    return ["gen-dataset", "--instance", f"{prefix}.mdp.json", "--policy",
+            str(bad), "--n", "4", "--out", str(tmp_path / "d.jsonl")]
+
+
+def read_dataset_header(tmp_path, key, value, cli):
+    prefix = gen_instance(tmp_path)
+    header, *lines = gen_dataset(tmp_path, prefix, n=4).read_text() \
+        .splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({**json.loads(header), key: value}) + "\n"
+                   + "".join(lines))
+    if not cli:
+        return lambda: load_dataset(bad)
+    return ["train", "--learner", "bc", "--instance", f"{prefix}.mdp.json",
+            "--dataset", str(bad), "--out", str(tmp_path / "p.json")]
+
+
+def read_experiment(field):
+    """The experiment config reader, with the bad value at key of field, or
+    at the top level when field is None."""
+    def read(tmp_path, key, value, cli):
+        doc = dict(EXPERIMENT)
+        if field is None:
+            doc[key] = value
+        else:
+            doc[field] = {**doc[field], key: value}
+        if not cli:
+            return lambda: ExperimentConfig.from_json(doc)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        return ["experiment", "--config", str(path),
+                "--out", str(tmp_path / "rows.csv")]
+    return read
+
+
+def read_instance_config(tmp_path, key, value, cli):
+    doc = {"family": "bc-lb", "reset": "geometric", key: value}
+    if not cli:
+        return lambda: make_instance(doc, 8, 100, 0)
+    return ["gen-instance", "--config", json.dumps(doc), "--H", "8",
+            "--out", str(tmp_path / "x")]
+
+
+def read_learner_config(learner):
+    """harness.train's reader of learner's options, as an experiment's
+    learner mapping without its id."""
+    def read(tmp_path, key, value, cli):
+        prefix = gen_instance(tmp_path)
+        data = gen_dataset(tmp_path, prefix, n=8)
+        if not cli:
+            mdp = mdp_from_json(load_json(f"{prefix}.mdp.json"))
+            return lambda: train(learner, {key: value}, load_dataset(data),
+                                 mdp)
+        return ["train", "--learner", learner, "--instance",
+                f"{prefix}.mdp.json", "--dataset", str(data),
+                "--out", str(tmp_path / "p.json"),
+                "--config", json.dumps({key: value})]
+    return read
+
+
+# reader: (what its messages name, how to feed it a bad value)
+JSON_READERS = {
+    "instance-file": ("instance", read_instance_file),
+    "policy-file": ("policy", read_policy_file),
+    "dataset-header": ("dataset header", read_dataset_header),
+    "experiment": ("experiment config", read_experiment(None)),
+    "grid": ("grid", read_experiment("grid")),
+    "seeds": ("seeds", read_experiment("seeds")),
+    "instance-config": ("instance", read_instance_config),
+    "re-config": ("replay-estimation config", read_learner_config("re")),
+    "bc-config": ("bc config", read_learner_config("bc")),
+}
+# (reader, key, bad value, the kind the key must have): a wrong value of
+# every JSON type, for every kind in mdp.JSON_KINDS.
+JSON_KIND_ROWS = [
+    ("instance-file", "horizon", 4.5, "an integer"),
+    ("instance-file", "rho", {}, "an array"),
+    ("instance-file", "transitions", {}, "an array"),
+    ("instance-file", "rewards", {}, "an array"),
+    ("policy-file", "probs", {}, "an array"),
+    ("policy-file", "horizon", "4", "an integer"),
+    ("dataset-header", "provenance", 5, "an array"),
+    ("dataset-header", "H", None, "an integer"),
+    ("experiment", "seeds", 3, "a JSON object"),
+    ("experiment", "grid", [[4], [8]], "a JSON object"),
+    ("grid", "n_exp", [], "a nonempty array of integers"),
+    ("grid", "H", [8, 4.0], "a nonempty array of integers"),
+    ("seeds", "count", True, "an integer"),
+    ("instance-config", "ratio", "0.5", "a number"),
+    ("instance-config", "reset", 1, "a string or null"),
+    ("instance-config", "states", np.int64(16), "an integer"),
+    ("re-config", "use_full_data", 0, "true or false"),
+    ("re-config", "replay_mode", False, "a string or null"),
+    ("re-config", "frac1", np.float64(0.5), "a number"),
+    ("bc-config", "tie_rule", ["lowest"], "a string or null"),
+]
+
+
+@pytest.mark.parametrize("route,reader,key,value,kind", [
+    pytest.param(route, *row, id=f"{route}-{row[0]}-{row[1]}")
+    for row in JSON_KIND_ROWS for route in ("library", "cli")
+    # A numpy scalar has no JSON text, so only a Python caller can pass it.
+    if route == "library" or not isinstance(row[2], np.generic)])
+def test_every_reader_names_a_wrong_kind_in_one_shape(tmp_path, route, reader,
+                                                      key, value, kind):
+    what, read = JSON_READERS[reader]
+    shown = (f"{value} (numpy.{type(value).__name__})"
+             if isinstance(value, np.generic) else json.dumps(value))
+    message = f"{what}: {key} must be {kind}, got {shown}"
+    feed = read(tmp_path, key, value, route == "cli")
+    if route == "library":
+        with pytest.raises(ValueError) as exc:
+            feed()
+        assert str(exc.value) == message
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(feed)
+        assert exc.value.code == f"{feed[0]}: {message}"
+        assert not list(tmp_path.glob("x.*"))
+        assert not any((tmp_path / name).exists()
+                       for name in ("d.jsonl", "p.json", "rows.csv"))
+
+
+@pytest.mark.parametrize("reader,key", [
+    ("instance-file", "rho"), ("instance-file", "transitions"),
+    ("instance-file", "rewards"), ("policy-file", "probs"),
+    ("dataset-header", "provenance")])
+def test_arrays_of_the_wrong_kind_exit_with_a_message(tmp_path, reader, key):
+    # These once ended in a TypeError traceback from numpy or tuple().
+    what, read = JSON_READERS[reader]
+    value = 5 if key == "provenance" else {}
+    argv = read(tmp_path, key, value, cli=True)
+    env = {**os.environ, "PYTHONPATH": str(Path(il_lab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "il_lab.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == (f"{argv[0]}: {what}: {key} must be an array, got "
+                           f"{json.dumps(value)}\n")

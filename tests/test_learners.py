@@ -282,10 +282,12 @@ def test_re_config_validation():
 
 
 def test_re_config_names_a_numpy_value_and_its_type():
-    with pytest.raises(ValueError, match=r"^split_seed must be an integer, "
+    with pytest.raises(ValueError, match=r"^replay-estimation config: "
+                                         r"split_seed must be an integer, "
                                          r"got 3 \(numpy\.int64\)$"):
         ReConfig(split_seed=np.int64(3))
-    with pytest.raises(ValueError, match=r"^frac1 must be a number, got 0\.5 "
+    with pytest.raises(ValueError, match=r"^replay-estimation config: frac1 "
+                                         r"must be a number, got 0\.5 "
                                          r"\(numpy\.float64\)$"):
         ReConfig(frac1=np.float64(0.5))
 

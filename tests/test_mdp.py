@@ -8,9 +8,9 @@ from il_lab.acceptance import random_mdp, random_policy
 from il_lab.harness import make_instance
 from il_lab.instances import make_mm_lb
 from il_lab.mdp import MarkovPolicy, OccupancyMeasures, TabularMdp, \
-    deterministic_policy, exact_occupancy, l1_layer_distance, \
+    check_json, deterministic_policy, exact_occupancy, l1_layer_distance, \
     mdp_from_json, mdp_to_json, policy_from_json, policy_to_json, \
-    policy_value, require_ints, rollout_batch, show_value
+    policy_value, rollout_batch, show_value
 from il_lab import mdp as mdp_module
 from il_lab.rng import mix64
 from oracles import Trajectory, rollout
@@ -359,7 +359,8 @@ def test_integer_check_names_a_numpy_value_and_its_type():
     doc = {"horizon": np.int64(4), "num_states": 2, "num_actions": 2}
     with pytest.raises(ValueError, match=r"^instance: horizon must be an "
                                          r"integer, got 4 \(numpy\.int64\)$"):
-        require_ints(doc, ("horizon", "num_states"), "instance")
+        check_json(doc, {"horizon": int, "num_states": int,
+                         "num_actions": int}, "instance")
 
 
 class Unprintable:

@@ -99,11 +99,13 @@ def test_matches_reference_solver_on_random_lps():
     assert not failures, failures
 
 
-def test_stall_limit_one_still_reaches_the_optimum():
+def test_stall_limit_one_still_reaches_the_optimum(monkeypatch):
+    # A stall limit of 1 sends every pivot down the Bland path.
+    monkeypatch.setattr(simplex_module, "STALL_LIMIT", 1)
     A = np.array([[1.0, 1.0]])
     b = np.array([1.0])
     g = np.array([1.0, 0.0])
-    x, obj, status, _ = simplex(A, b, g, [1], stall_limit=1)
+    x, obj, status, _ = simplex(A, b, g, [1])
     assert status == "optimal"
     assert obj == pytest.approx(0.0, abs=1e-12)
     assert np.array_equal(x, [1.0, 0.0])
