@@ -301,10 +301,10 @@ def criterion_7():
     bc = bc_train(d1, S, A, H)
     exact_rep = replay_exact(mdp, bc, oracle).d
     a_ok, a_worst = True, -np.inf
-    for n_replay in (100, 1000, 10_000):
-        mc = replay_mc(mdp, bc, oracle, n_replay, mix64(707, 9, n_replay))
+    for n_rollouts in (100, 1000, 10_000):
+        mc = replay_mc(mdp, bc, oracle, n_rollouts, mix64(707, 9, n_rollouts))
         dev = np.abs(mc.d - exact_rep)
-        bound = 3.0 * np.sqrt(exact_rep * (1 - exact_rep) / n_replay) + 1e-6
+        bound = 3.0 * np.sqrt(exact_rep * (1 - exact_rep) / n_rollouts) + 1e-6
         a_ok &= bool((dev <= bound).all())
         a_worst = max(a_worst, float((dev - bound).max()))
 

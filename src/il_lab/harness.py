@@ -147,14 +147,14 @@ def make_instance(inst_cfg, H, n_exp, draw_index):
 
 
 def train(learner, options, dataset, mdp):
-    """The learner dispatch: bc reads tie_rule, mm reads nothing, re reads
-    the ReConfig fields. options must be a JSON object; a key the learner
-    does not read, or a value of the wrong kind, raises ValueError naming
-    it (mdp.check_json)."""
+    """The learner dispatch: bc and mm read no key, re reads the ReConfig
+    fields (frac1, split_seed, oracle_override). options must be a JSON
+    object; a key the learner does not read, or a value of the wrong kind,
+    raises ValueError naming it (mdp.check_json)."""
     if learner == "bc":
-        check_json(options, {"tie_rule": str}, "bc config")
+        check_json(options, {}, "bc config")
         return bc_train(dataset, mdp.num_states, mdp.num_actions,
-                        mdp.horizon, options.get("tie_rule", "lowest"))
+                        mdp.horizon)
     if learner == "mm":
         check_json(options, {}, "mm config")
         return mm_train(dataset, mdp)
@@ -168,20 +168,18 @@ def run_cell(instance_cfg, learner_cfg, H, n_exp, run_seed, seed_index=0,
              draw_index=0):
     """One measurement. Dataset seed is hash(run_seed, 1), so the same
     run_seed yields the same dataset for every learner (paired designs).
-    The re learner's split and replay seeds are hash(run_seed, 2) and
-    hash(run_seed, 3); the config may not set them."""
+    The re learner's split seed is hash(run_seed, 2); the config may not
+    set it."""
     component, mdp, expert = make_instance(instance_cfg, H, n_exp, draw_index)
     dataset = sample_dataset(mdp, expert, n_exp, mix64(run_seed, 1),
                              instance_id=component, policy_id="expert")
     lid = learner_cfg.get("id")
     opts = {k: v for k, v in learner_cfg.items() if k != "id"}
     if lid == "re":
-        derived = sorted({"split_seed", "replay_seed"} & set(opts))
-        if derived:
-            raise ValueError(f"learner keys {', '.join(derived)} are derived "
-                             "from the run seed")
-        opts.update(split_seed=mix64(run_seed, 2),
-                    replay_seed=mix64(run_seed, 3))
+        if "split_seed" in opts:
+            raise ValueError("learner key split_seed is derived from the run "
+                             "seed")
+        opts["split_seed"] = mix64(run_seed, 2)
     t0 = time.perf_counter()
     try:
         learned = train(lid, opts, dataset, mdp)
@@ -235,8 +233,10 @@ def rows_to_csv(rows, path=None):
 
 
 def load_csv(path):
-    """The rows of a rows_to_csv file; a missing column, or a line with
-    fewer fields than the header, raises ValueError."""
+    """The rows of a rows_to_csv file; a missing column, a line with fewer
+    fields than the header, or a field that its column's type (int, float
+    or str, the ResultRow annotation) cannot read raises ValueError naming
+    the file, the line and the column."""
     with open(path) as fh:
         reader = csv.DictReader(fh)
         found = reader.fieldnames or ()
@@ -248,9 +248,19 @@ def load_csv(path):
             if None in rec.values():
                 raise ValueError(f"{path}: line {reader.line_num} has fewer "
                                  "fields than the header")
-            rows.append(ResultRow(**{f.name: f.type(rec[f.name])
+            rows.append(ResultRow(**{f.name: _csv_field(f, rec, path,
+                                                        reader.line_num)
                                      for f in fields(ResultRow)}))
         return rows
+
+
+def _csv_field(field, rec, path, line):
+    text = rec[field.name]
+    try:
+        return field.type(text)
+    except ValueError:
+        raise ValueError(f"{path}: line {line}: column {field.name} must be "
+                         f"{field.type.__name__}, got {text!r}") from None
 
 
 # ------------------------------------------------------------- event probe

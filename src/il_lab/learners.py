@@ -4,9 +4,10 @@ through the simulator weighted by D1-membership prefix weights, patch the
 out-of-support remainder with D2 moments, and match against the hybrid.
 
 Prefix-weight convention: the weight of step t is the product of membership
-over states strictly before t (empty product 1 at t=0). The alternative that
-includes the current state is exposed via include_current for sensitivity
-checks, not used by defaults."""
+over states strictly before t (empty product 1 at t=0). replay_exact and
+complement_exact also take include_current, which multiplies in the current
+state too, so that acceptance criterion 7(c) checks their identity under
+both conventions; the learner uses the first."""
 
 from dataclasses import dataclass, fields
 
@@ -17,8 +18,6 @@ from .datasets import SplitConfig, cell_sums, empirical_occupancy, split, \
 from .matching import MatchTarget, extract_policy, solve_occupancy_match
 from .mdp import MarkovPolicy, OccupancyMeasures, check_json, \
     exact_occupancy, rollout_batch
-
-TIE_RULES = ("lowest", "uniform")
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,33 +45,19 @@ class MembershipOracle:
 
 @dataclass(frozen=True)
 class ReConfig:
-    """Replay-estimation knobs. frac1 and split_seed make the D1/D2 split.
-    replay_mode "exact" is the infinite-replay default; "mc" uses n_replay
-    seeded rollouts. use_full_data switches the empirical side from D2 to
-    all of D. oracle_override in {None, "ones", "zeros"} substitutes a
-    constant membership table (estimator identity tests). include_current
-    flips the prefix-weight convention. Each field must have the JSON kind
-    of its annotation (RE_CONFIG_KINDS), checked by mdp.check_json as the
-    config is built."""
+    """Replay-estimation config. frac1 and split_seed make the D1/D2 split.
+    oracle_override in {None, "ones", "zeros"} substitutes a constant
+    membership table (the estimator identities of acceptance criterion
+    7(b)). Each field must have the JSON kind of its annotation
+    (RE_CONFIG_KINDS), checked by mdp.check_json as the config is built."""
 
     frac1: float = 0.5
     split_seed: int = 0
-    replay_mode: str = "exact"
-    n_replay: int = 1000
-    replay_seed: int = 0
-    use_full_data: bool = False
-    tie_rule: str = "lowest"
     oracle_override: str = None
-    include_current: bool = False
 
     def __post_init__(self):
         check_json(vars(self), RE_CONFIG_KINDS, "replay-estimation config")
         SplitConfig(self.frac1, self.split_seed)  # raises on a bad frac1
-        _check_tie_rule(self.tie_rule)
-        if self.replay_mode not in ("exact", "mc"):
-            raise ValueError("replay_mode must be 'exact' or 'mc'")
-        if self.replay_mode == "mc" and self.n_replay < 1:
-            raise ValueError("n_replay must be positive in mc mode")
         if self.oracle_override not in (None, "ones", "zeros"):
             raise ValueError("oracle_override must be None, 'ones' or 'zeros'")
 
@@ -81,29 +66,16 @@ class ReConfig:
 RE_CONFIG_KINDS = {f.name: f.type for f in fields(ReConfig)}
 
 
-def _check_tie_rule(tie_rule):
-    if tie_rule not in TIE_RULES:
-        raise ValueError("tie_rule must be 'lowest' or 'uniform'")
-
-
-def bc_train(dataset, S, A, H, tie_rule="lowest"):
-    """Majority action per (s,t); unobserved (s,t) get the uniform row.
-    tie_rule "lowest" takes the smallest maximal action index, "uniform"
-    spreads over the argmax set."""
+def bc_train(dataset, S, A, H):
+    """Majority action per (s,t), a tie going to the smallest action index;
+    unobserved (s,t) get the uniform row."""
     if dataset.n == 0:
         raise ValueError("empty dataset")
-    _check_tie_rule(tie_rule)
     counts = cell_sums(dataset.states, dataset.actions, S, A)
-    probs = np.empty((H, S, A))
-    seen = counts.sum(axis=2) > 0
-    if tie_rule == "lowest":
-        amax = counts.argmax(axis=2)
-        probs[:] = 0.0
-        probs[np.arange(H)[:, None], np.arange(S)[None, :], amax] = 1.0
-    else:
-        top = counts == counts.max(axis=2, keepdims=True)
-        probs = top / top.sum(axis=2, keepdims=True)
-    probs[~seen] = 1.0 / A
+    probs = np.zeros((H, S, A))
+    probs[np.arange(H)[:, None], np.arange(S)[None, :],
+          counts.argmax(axis=2)] = 1.0
+    probs[counts.sum(axis=2) == 0] = 1.0 / A
     return MarkovPolicy(probs)
 
 
@@ -148,12 +120,10 @@ def prefix_weight(oracle, prefix_states):
     return float(w)
 
 
-def _prefix_weights_batch(oracle, states, include_current):
+def _prefix_weights_batch(oracle, states):
     """(n,H) prefix weights along sampled trajectories."""
     mvals = oracle.m[np.arange(states.shape[1])[None, :], states]
     cum = np.cumprod(mvals, axis=1)
-    if include_current:
-        return cum
     out = np.ones_like(cum)
     out[:, 1:] = cum[:, :-1]
     return out
@@ -176,26 +146,26 @@ def replay_exact(mdp, bc_policy, oracle, include_current=False):
     return OccupancyMeasures(d, "weighted")
 
 
-def replay_mc(mdp, bc_policy, oracle, n_replay, seed, include_current=False):
-    """Monte Carlo replay: n_replay seeded rollouts of the BC policy, each
+def replay_mc(mdp, bc_policy, oracle, n_rollouts, seed):
+    """Monte Carlo replay: n_rollouts seeded rollouts of the BC policy, each
     step counted with its prefix weight; contributions stop once the weight
     hits exactly 0. Deterministic given seed; "weighted" OccupancyMeasures
     as replay_exact returns."""
-    if n_replay < 1:
-        raise ValueError("n_replay must be positive")
-    states, actions = rollout_batch(mdp, bc_policy, n_replay, seed)
-    weights = _prefix_weights_batch(oracle, states, include_current)
+    if n_rollouts < 1:
+        raise ValueError("n_rollouts must be positive")
+    states, actions = rollout_batch(mdp, bc_policy, n_rollouts, seed)
+    weights = _prefix_weights_batch(oracle, states)
     d = cell_sums(states, actions, mdp.num_states, mdp.num_actions, weights)
-    return OccupancyMeasures(d / n_replay, "weighted")
+    return OccupancyMeasures(d / n_rollouts, "weighted")
 
 
-def hybrid_estimate(replay, d2, oracle, include_current=False):
+def hybrid_estimate(replay, d2, oracle):
     """Hybrid target g_t(s,a) = replay_t(s,a)
     + E_{D2}[ 1(s_t=s, a_t=a) (1 - prefix weight) ]."""
     if d2.n == 0:
         raise ValueError("empty empirical split")
     _, S, A = replay.d.shape
-    weights = 1.0 - _prefix_weights_batch(oracle, d2.states, include_current)
+    weights = 1.0 - _prefix_weights_batch(oracle, d2.states)
     return MatchTarget(replay.d + cell_sums(d2.states, d2.actions, S, A,
                                             weights / d2.n))
 
@@ -226,8 +196,9 @@ def complement_exact(mdp, policy, oracle, include_current=False):
 
 
 def re_pipeline(dataset, mdp, cfg):
-    """Full replay-estimation pipeline with intermediates exposed:
-    returns dict(d1, d2, oracle, bc, replay, target, solution, policy)."""
+    """Full replay-estimation pipeline with intermediates exposed: split,
+    clone on D1, replay the clone exactly, patch with D2's moments, match.
+    Returns dict(d1, d2, oracle, bc, replay, target, solution, policy)."""
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
     d1, d2 = split(dataset, SplitConfig(cfg.frac1, cfg.split_seed))
     if cfg.oracle_override == "ones":
@@ -236,14 +207,9 @@ def re_pipeline(dataset, mdp, cfg):
         oracle = MembershipOracle.zeros(H, S)
     else:
         oracle = membership_tabular(d1, S, H)
-    bc = bc_train(d1, S, A, H, cfg.tie_rule)
-    if cfg.replay_mode == "exact":
-        replay = replay_exact(mdp, bc, oracle, cfg.include_current)
-    else:
-        replay = replay_mc(mdp, bc, oracle, cfg.n_replay, cfg.replay_seed,
-                           cfg.include_current)
-    emp = dataset if cfg.use_full_data else d2
-    target = hybrid_estimate(replay, emp, oracle, cfg.include_current)
+    bc = bc_train(d1, S, A, H)
+    replay = replay_exact(mdp, bc, oracle)
+    target = hybrid_estimate(replay, d2, oracle)
     sol, policy = _match(mdp, target)
     return {"d1": d1, "d2": d2, "oracle": oracle, "bc": bc, "replay": replay,
             "target": target, "solution": sol, "policy": policy}

@@ -268,18 +268,29 @@ def show_value(value):
     return f"{text} ({module}{kind.__qualname__})"
 
 
+def _nonempty_ints(items):
+    return bool(items) and all(type(v) is int for v in items)
+
+
+def _numbers(items):
+    """Every entry of a nested array is a number; [] has none to check."""
+    return all(_numbers(v) if type(v) is list else type(v) in (int, float)
+               for v in items)
+
+
 # The JSON kind a reader names for a key, by the Python type it stands for:
-# how a message names it, the types json.load gives for it, and the type of
-# every item of an array kind, which must then be nonempty. A bool is not an
-# integer, an integer is a number, and a string may be null.
+# how a message names it, the types json.load gives for it, and, for an
+# array kind, the check its entries must pass. A bool is not an integer, an
+# integer is a number, and a string may be null. An ndarray is an array of
+# numbers, nested to any depth.
 JSON_KINDS = {
     int: ("an integer", (int,), None),
     float: ("a number", (int, float), None),
-    bool: ("true or false", (bool,), None),
     str: ("a string or null", (str, type(None)), None),
     dict: ("a JSON object", (dict,), None),
     list: ("an array", (list,), None),
-    list[int]: ("a nonempty array of integers", (list,), int),
+    list[int]: ("a nonempty array of integers", (list,), _nonempty_ints),
+    np.ndarray: ("an array of numbers", (list,), _numbers),
 }
 
 
@@ -305,9 +316,9 @@ def check_json(doc, kinds, what, required=()):
     for key, kind in kinds.items():
         if key in doc:
             value = doc[key]
-            phrase, types, item = JSON_KINDS[kind]
-            if type(value) not in types or (item and not (
-                    value and all(type(v) is item for v in value))):
+            phrase, types, entries_ok = JSON_KINDS[kind]
+            if type(value) not in types or (entries_ok
+                                            and not entries_ok(value)):
                 raise ValueError(f"{what}: {key} must be {phrase}, got "
                                  f"{show_value(value)}")
     return doc
@@ -315,7 +326,8 @@ def check_json(doc, kinds, what, required=()):
 
 # The keys of an instance file, as mdp_to_json writes them; all required.
 _MDP_KINDS = {"horizon": int, "num_states": int, "num_actions": int,
-              "rho": list, "transitions": list, "rewards": list}
+              "rho": np.ndarray, "transitions": np.ndarray,
+              "rewards": np.ndarray}
 
 
 def mdp_from_json(doc):
@@ -339,7 +351,7 @@ def policy_to_json(policy):
 # The keys of a policy file, as policy_to_json writes them; only probs is
 # read.
 _POLICY_KINDS = {"horizon": int, "num_states": int, "num_actions": int,
-                 "probs": list}
+                 "probs": np.ndarray}
 
 
 def policy_from_json(doc):

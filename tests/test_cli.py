@@ -14,8 +14,8 @@ from il_lab.datasets import load_dataset
 from il_lab.harness import CSV_COLUMNS, ExperimentConfig, load_csv, \
     make_instance, train
 from il_lab.instances import make_mm_lb
-from il_lab.mdp import load_json, mdp_from_json, policy_from_json, \
-    policy_value, rollout_batch
+from il_lab.mdp import JSON_KINDS, load_json, mdp_from_json, \
+    policy_from_json, policy_value, rollout_batch
 
 
 def gen_instance(tmp_path):
@@ -160,8 +160,8 @@ def test_train_re_config_from_file(tmp_path):
     prefix = gen_instance(tmp_path)
     data = gen_dataset(tmp_path, prefix)
     cfg_path = tmp_path / "re.json"
-    cfg_path.write_text(json.dumps({"replay_mode": "mc", "n_replay": 50,
-                                    "replay_seed": 4}))
+    cfg_path.write_text(json.dumps({"frac1": 0.3, "split_seed": 4,
+                                    "oracle_override": "ones"}))
     out = tmp_path / "re.policy.json"
     rc = main(["train", "--learner", "re", "--instance", f"{prefix}.mdp.json",
                "--dataset", str(data), "--config", str(cfg_path),
@@ -273,8 +273,14 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
      "fit: {path}: missing columns H"),
     ("csv", CSV_HEADER + "\nsyn,syn,4,2\n",
      "fit: {path}: line 2 has fewer fields than the header"),
+    ("csv", CSV_HEADER + "\nsyn,syn,4,2,2,10,0,0.5,ok,syn,0.000"
+     "\nsyn,syn,x,2,2,10,0,0.5,ok,syn,0.000\n",
+     "fit: {path}: line 3: column H must be int, got 'x'"),
+    ("csv", CSV_HEADER + "\nsyn,syn,4,2,2,10,0,half,ok,syn,0.000\n",
+     "fit: {path}: line 2: column gap must be float, got 'half'"),
 ], ids=["instance-keys", "instance-list", "policy-keys", "dataset-keys",
-        "dataset-list", "csv-columns", "csv-short-line"])
+        "dataset-list", "csv-columns", "csv-short-line", "csv-int-field",
+        "csv-float-field"])
 def test_malformed_files_end_in_a_message(tmp_path, kind, text, message):
     # A file that parses but lacks what its reader needs is rejected by
     # name, not with a KeyError or TypeError traceback.
@@ -346,20 +352,18 @@ def test_gen_instance_uses_the_experiment_defaults(tmp_path):
 
 
 @pytest.mark.parametrize("config,message", [
-    ('{"use_full_data": "no"}', 'use_full_data must be true or false, '
-     'got "no"'),
+    ('{"oracle_override": false}', "oracle_override must be a string or "
+     "null, got false"),
     ('{"split_seed": 1.5}', "split_seed must be an integer, got 1.5"),
     ('{"frac1": "0.5"}', 'frac1 must be a number, got "0.5"'),
-    ('{"replay_mode": "mc", "n_replay": 2.5}',
-     "n_replay must be an integer, got 2.5"),
-    ('{"replay_seed": true}', "replay_seed must be an integer, got true"),
+    ('{"split_seed": true}', "split_seed must be an integer, got true"),
     ('{"oracle_override": 1}', "oracle_override must be a string or null, "
      "got 1"),
-], ids=["use-full-data", "split-seed", "frac1", "n-replay", "replay-seed",
+], ids=["oracle-override-false", "split-seed", "frac1", "split-seed-true",
         "oracle-override"])
 def test_train_rejects_a_re_value_of_the_wrong_type(tmp_path, config,
                                                     message):
-    # A string flag is not false, and a fractional seed is not rounded.
+    # false is not null, and a fractional seed is not rounded.
     prefix = gen_instance(tmp_path)
     data = gen_dataset(tmp_path, prefix)
     out = tmp_path / "p.json"
@@ -380,22 +384,49 @@ def test_train_rejects_an_unknown_learner(tmp_path):
     assert exc.value.code == "train: unknown learner 'dagger'"
 
 
-def test_train_config_reaches_bc(tmp_path):
-    # Two trajectories tie at (t=0, s=0): one plays action 0, one action 1.
+def test_train_bc_breaks_ties_to_the_lowest_action(tmp_path):
+    # Two trajectories tie at (t=0, s=1): one plays action 1, one action 0.
     prefix = gen_instance(tmp_path)
     data = tmp_path / "tied.jsonl"
     data.write_text('{"n": 2, "H": 4, "provenance": ["", "", 0]}\n'
-                    "[[0, 0], [0, 0], [0, 0], [0, 0]]\n"
-                    "[[0, 1], [0, 0], [0, 0], [0, 0]]\n")
-    rows = {}
-    for config in ([], ["--config", '{"tie_rule": "uniform"}']):
-        out = tmp_path / "bc.policy.json"
-        assert main(["train", "--learner", "bc", "--instance",
-                     f"{prefix}.mdp.json", "--dataset", str(data),
-                     "--out", str(out), *config]) == 0
-        rows[len(config)] = policy_from_json(load_json(out)).probs[0, 0]
-    assert rows[0].tolist() == [1.0, 0.0]
-    assert rows[2].tolist() == [0.5, 0.5]
+                    "[[1, 1], [0, 0], [0, 0], [0, 0]]\n"
+                    "[[1, 0], [0, 0], [0, 0], [0, 0]]\n")
+    out = tmp_path / "bc.policy.json"
+    assert main(["train", "--learner", "bc", "--instance",
+                 f"{prefix}.mdp.json", "--dataset", str(data),
+                 "--out", str(out)]) == 0
+    assert policy_from_json(load_json(out)).probs[0, 1].tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("command,config,message", [
+    ("train", ("bc", {"tie_rule": "lowest"}), "unknown bc config keys: "
+     "tie_rule"),
+    ("train", ("re", {"replay_mode": "exact"}),
+     "unknown replay-estimation config keys: replay_mode"),
+    ("experiment", {"id": "re", "use_full_data": False},
+     "unknown replay-estimation config keys: use_full_data"),
+], ids=["bc-tie-rule", "re-replay-mode", "experiment-re-use-full-data"])
+def test_removed_learner_keys_are_unknown(tmp_path, command, config,
+                                          message):
+    # Each learner id names one algorithm: bc breaks ties to the lowest
+    # action, and re replays exactly and patches with D2, so no key selects
+    # another.
+    if command == "train":
+        prefix = gen_instance(tmp_path)
+        learner, options = config
+        argv = ["train", "--learner", learner, "--instance",
+                f"{prefix}.mdp.json", "--dataset",
+                str(gen_dataset(tmp_path, prefix)),
+                "--config", json.dumps(options)]
+    else:
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({**EXPERIMENT, "learner": config}))
+        argv = ["experiment", "--config", str(cfg_path)]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == f"{command}: {message}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("learner,what", [("bc", "bc config"),
@@ -481,12 +512,11 @@ def test_experiment_requires_output_path(tmp_path, capsys):
      "instance: construction_seed must be an integer, got 1.5"),
     ("instance", {"family": "bc-lb", "reset": "geometric", "ratio": True},
      "instance: ratio must be a number, got true"),
-    ("learner", {"id": "re", "use_full_data": "no"},
-     'replay-estimation config: use_full_data must be true or false, '
-     'got "no"'),
+    ("learner", {"id": "re", "frac1": "0.5"},
+     'replay-estimation config: frac1 must be a number, got "0.5"'),
 ], ids=["instance-list", "learner-list", "grid-H", "grid-n_exp",
         "grid-H-scalar", "seeds-count", "seeds-base", "construction-seed",
-        "ratio", "use-full-data"])
+        "ratio", "frac1"])
 def test_experiment_rejects_a_value_of_the_wrong_type(tmp_path, field, value,
                                                       message):
     cfg_path = tmp_path / "exp.json"
@@ -649,16 +679,15 @@ JSON_READERS = {
     "seeds": ("seeds", read_experiment("seeds")),
     "instance-config": ("instance", read_instance_config),
     "re-config": ("replay-estimation config", read_learner_config("re")),
-    "bc-config": ("bc config", read_learner_config("bc")),
 }
 # (reader, key, bad value, the kind the key must have): a wrong value of
 # every JSON type, for every kind in mdp.JSON_KINDS.
 JSON_KIND_ROWS = [
     ("instance-file", "horizon", 4.5, "an integer"),
-    ("instance-file", "rho", {}, "an array"),
-    ("instance-file", "transitions", {}, "an array"),
-    ("instance-file", "rewards", {}, "an array"),
-    ("policy-file", "probs", {}, "an array"),
+    ("instance-file", "rho", ["0.5", "0.5"], "an array of numbers"),
+    ("instance-file", "transitions", {}, "an array of numbers"),
+    ("instance-file", "rewards", [{}, 1], "an array of numbers"),
+    ("policy-file", "probs", [[[True, False]]], "an array of numbers"),
     ("policy-file", "horizon", "4", "an integer"),
     ("dataset-header", "provenance", 5, "an array"),
     ("dataset-header", "H", None, "an integer"),
@@ -670,11 +699,15 @@ JSON_KIND_ROWS = [
     ("instance-config", "ratio", "0.5", "a number"),
     ("instance-config", "reset", 1, "a string or null"),
     ("instance-config", "states", np.int64(16), "an integer"),
-    ("re-config", "use_full_data", 0, "true or false"),
-    ("re-config", "replay_mode", False, "a string or null"),
+    ("re-config", "split_seed", True, "an integer"),
+    ("re-config", "oracle_override", False, "a string or null"),
     ("re-config", "frac1", np.float64(0.5), "a number"),
-    ("bc-config", "tie_rule", ["lowest"], "a string or null"),
 ]
+
+
+def test_every_kind_has_a_row():
+    assert {row[3] for row in JSON_KIND_ROWS} == \
+        {phrase for phrase, _, _ in JSON_KINDS.values()}
 
 
 @pytest.mark.parametrize("route,reader,key,value,kind", [
@@ -702,19 +735,33 @@ def test_every_reader_names_a_wrong_kind_in_one_shape(tmp_path, route, reader,
                        for name in ("d.jsonl", "p.json", "rows.csv"))
 
 
-@pytest.mark.parametrize("reader,key", [
-    ("instance-file", "rho"), ("instance-file", "transitions"),
-    ("instance-file", "rewards"), ("policy-file", "probs"),
-    ("dataset-header", "provenance")])
-def test_arrays_of_the_wrong_kind_exit_with_a_message(tmp_path, reader, key):
-    # These once ended in a TypeError traceback from numpy or tuple().
+@pytest.mark.parametrize("reader,key,value,kind", [
+    ("instance-file", "rho", {}, "an array of numbers"),
+    ("instance-file", "transitions", {}, "an array of numbers"),
+    ("instance-file", "rewards", {}, "an array of numbers"),
+    ("policy-file", "probs", {}, "an array of numbers"),
+    ("dataset-header", "provenance", 5, "an array"),
+    ("instance-file", "rho", ["0.5", "0.5"], "an array of numbers"),
+    ("instance-file", "rho", [True, 0], "an array of numbers"),
+    ("instance-file", "rho", [{}, 1], "an array of numbers"),
+    ("instance-file", "transitions", [[[[0.5, None]]]], "an array of numbers"),
+    ("policy-file", "probs", [[["1", 0]]], "an array of numbers"),
+], ids=["instance-file-rho", "instance-file-transitions",
+        "instance-file-rewards", "policy-file-probs",
+        "dataset-header-provenance", "instance-file-rho-strings",
+        "instance-file-rho-true", "instance-file-rho-object-entry",
+        "instance-file-transitions-null-entry", "policy-file-probs-string"])
+def test_arrays_of_the_wrong_kind_exit_with_a_message(tmp_path, reader, key,
+                                                      value, kind):
+    # An array or an entry of the wrong kind once ended in a TypeError
+    # traceback from numpy or tuple(), or was read: "0.5" and true as
+    # numbers.
     what, read = JSON_READERS[reader]
-    value = 5 if key == "provenance" else {}
     argv = read(tmp_path, key, value, cli=True)
     env = {**os.environ, "PYTHONPATH": str(Path(il_lab.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-m", "il_lab.cli", *argv],
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert done.returncode == 1
-    assert done.stderr == (f"{argv[0]}: {what}: {key} must be an array, got "
+    assert done.stderr == (f"{argv[0]}: {what}: {key} must be {kind}, got "
                            f"{json.dumps(value)}\n")

@@ -128,21 +128,21 @@ def test_unknown_family_and_learner_raise():
 
 
 def test_re_learner_keys():
-    # frac1 reaches the split; the split and replay seeds come from the run
-    # seed, so the config may not set them; a misspelt key is an error.
+    # frac1 reaches the split; the split seed comes from the run seed, so
+    # the config may not set it; a misspelt key is an error.
     mdp, expert = make_mm_lb(4, 64)
     seed = mix64(3, 0, 0)
     ds = sample_dataset(mdp, expert, 64, mix64(seed, 1))
-    learned = re_train(ds, mdp, ReConfig(frac1=0.9, split_seed=mix64(seed, 2),
-                                         replay_seed=mix64(seed, 3)))
+    learned = re_train(ds, mdp, ReConfig(frac1=0.9, split_seed=mix64(seed, 2)))
     row = run_cell({"family": "mm-lb"}, {"id": "re", "frac1": 0.9}, 4, 64,
                    seed)
     assert row.gap == policy_value(mdp, expert) - policy_value(mdp, learned)
     with pytest.raises(ValueError, match="keys: frac$"):
         run_cell({"family": "mm-lb"}, {"id": "re", "frac": 0.9}, 4, 64, seed)
-    for key in ("split_seed", "replay_seed"):
-        with pytest.raises(ValueError, match=f"{key} are derived"):
-            run_cell({"family": "mm-lb"}, {"id": "re", key: 1}, 4, 64, seed)
+    with pytest.raises(ValueError, match="^learner key split_seed is derived "
+                                         "from the run seed$"):
+        run_cell({"family": "mm-lb"}, {"id": "re", "split_seed": 1}, 4, 64,
+                 seed)
 
 
 def test_train_builds_re_config_from_its_fields():
@@ -151,21 +151,18 @@ def test_train_builds_re_config_from_its_fields():
     # built, before the dataset or the instance is read.
     mdp, expert = make_mm_lb(4, 64)
     ds = sample_dataset(mdp, expert, 64, 5)
-    doc = {"frac1": 0.3, "split_seed": 5, "replay_mode": "mc", "n_replay": 20,
-           "replay_seed": 6, "use_full_data": True, "tie_rule": "uniform",
-           "oracle_override": "ones", "include_current": True}
+    doc = {"frac1": 0.3, "split_seed": 5, "oracle_override": "ones"}
     assert set(doc) == {f.name for f in fields(ReConfig)}
-    assert ReConfig(**doc) == ReConfig(0.3, 5, "mc", 20, 6, True, "uniform",
-                                       "ones", True)
+    assert ReConfig(**doc) == ReConfig(0.3, 5, "ones")
     for opts, cfg in ((doc, ReConfig(**doc)), ({}, ReConfig())):
         assert np.array_equal(train("re", opts, ds, mdp).probs,
                               re_train(ds, mdp, cfg).probs)
-    for opts, message in (({"frac": 0.3, "seed": 1, "n_replay": 3},
+    for opts, message in (({"frac": 0.3, "seed": 1, "split_seed": 3},
                            "^unknown replay-estimation config keys: "
                            "frac, seed$"),
                           ({"split": SplitConfig(0.3, 5)}, "keys: split$"),
                           ({"frac1": 1.5}, "frac1"),
-                          ({"tie_rule": "highest"}, "tie_rule")):
+                          ({"oracle_override": "twos"}, "oracle_override")):
         with pytest.raises(ValueError, match=message):
             train("re", opts, None, None)
 
