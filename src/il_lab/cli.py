@@ -17,8 +17,8 @@ from .datasets import check_dataset, load_dataset, sample_dataset, \
     save_dataset
 from .harness import DEFAULT_E3_COEFF, ExperimentConfig, event_probe, \
     fit_slope, load_csv, make_instance, rows_to_csv, run_experiment, train
-from .mdp import load_json, mdp_from_json, mdp_to_json, policy_from_json, \
-    policy_to_json, policy_value, save_json
+from .mdp import load_json, mdp_from_json, mdp_to_json, parse_json, \
+    policy_from_json, policy_to_json, policy_value, save_json
 
 
 def _cmd_gen_instance(args):
@@ -49,7 +49,7 @@ def _config_mapping(spec_text):
     if not spec_text:
         return {}
     if spec_text.lstrip().startswith(("{", "[")):
-        return json.loads(spec_text)
+        return parse_json(spec_text, "--config")
     return load_json(spec_text)
 
 

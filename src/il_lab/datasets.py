@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import OccupancyMeasures, check_json, exact_occupancy, \
-    rollout_batch
+    parse_json, rollout_batch
 from .rng import mix64_array
 
 
@@ -18,7 +18,10 @@ class Dataset:
     """states/actions (n,H) integer arrays, copied and frozen, so that a
     Dataset never shares memory the caller can write to; provenance is an
     opaque (instance_id, policy_id, base_seed) triple carried through
-    splits."""
+    splits. The constructor, and so load_dataset, stores int64; the
+    sampler's arrays are adopted in their narrow dtype (rollout_batch), and
+    subsets and splits keep the dtype they gather from. Code that forms an
+    index product such as s * A + a from them does so in intp or int64."""
 
     states: np.ndarray
     actions: np.ndarray
@@ -30,9 +33,9 @@ class Dataset:
 
     @classmethod
     def _adopt(cls, states, actions, provenance):
-        """A Dataset over fresh int64 arrays that no one else can write to,
-        such as rollout_batch's output: they are frozen in place, not
-        copied, and keep their layout."""
+        """A Dataset over fresh integer arrays that no one else can write
+        to, such as rollout_batch's output: they are frozen in place, not
+        copied, and keep their layout and dtype."""
         ds = object.__new__(cls)
         object.__setattr__(ds, "provenance", provenance)
         ds._freeze(states, actions)
@@ -81,7 +84,8 @@ class SplitConfig:
 
 def sample_dataset(mdp, policy, n, seed, instance_id="", policy_id=""):
     """n rollouts with per-trajectory seeds hash(seed, i); deterministic.
-    The dataset adopts rollout_batch's arrays, (n,H) views in F-order."""
+    The dataset adopts rollout_batch's arrays, (n,H) views in F-order, in
+    their narrow dtype."""
     if n < 1:
         raise ValueError("n must be positive")
     states, actions = rollout_batch(mdp, policy, n, seed)
@@ -101,12 +105,13 @@ def empirical_occupancy(dataset, S, A):
 def cell_sums(states, actions, S, A, weights=None):
     """(H,S,A) sums over the steps of (n,H) states/actions that fall in each
     (t, s, a) cell: step counts, or the sums of an (n,H) weights array. One
-    bincount per step over its (s, a) index, so the weights of a cell add
-    in increasing trajectory index, whatever the layout."""
+    bincount per step over its (s, a) index, formed in intp, so the
+    weights of a cell add in increasing trajectory index, whatever the
+    layout and the index dtype."""
     H = states.shape[1]
     out = np.empty((H, S * A), np.int64 if weights is None else np.float64)
     for t in range(H):
-        idx = states[:, t] * A
+        idx = np.multiply(states[:, t], A, dtype=np.intp)
         idx += actions[:, t]
         out[t] = np.bincount(idx, None if weights is None else weights[:, t],
                              S * A)
@@ -182,8 +187,8 @@ _HEADER_KINDS = {"n": int, "H": int, "provenance": list}
 
 def load_dataset(path):
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        rows = [json.loads(line) for line in fh if line.strip()]
+        header = parse_json(fh.readline(), path)
+        rows = [parse_json(line, path) for line in fh if line.strip()]
     check_json(header, _HEADER_KINDS, "dataset header", required=_HEADER_KINDS)
     n, H = header["n"], header["H"]
     if len(rows) != n:

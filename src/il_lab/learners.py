@@ -121,12 +121,16 @@ def prefix_weight(oracle, prefix_states):
 
 
 def _prefix_weights_batch(oracle, states):
-    """(n,H) prefix weights along sampled trajectories."""
-    mvals = oracle.m[np.arange(states.shape[1])[None, :], states]
-    cum = np.cumprod(mvals, axis=1)
-    out = np.ones_like(cum)
-    out[:, 1:] = cum[:, :-1]
-    return out
+    """(n,H) prefix weights along sampled trajectories, an F-order view of
+    one (H, n) buffer filled step by step, w_t = w_{t-1} m_{t-1}(s_{t-1}):
+    the products of a running cumprod, in its order."""
+    n, H = states.shape
+    out = np.empty((H, n))
+    out[0] = 1.0
+    for t in range(1, H):
+        oracle.m[t - 1].take(states[:, t - 1], out=out[t])
+        out[t] *= out[t - 1]
+    return out.T
 
 
 def replay_exact(mdp, bc_policy, oracle, include_current=False):
@@ -165,9 +169,11 @@ def hybrid_estimate(replay, d2, oracle):
     if d2.n == 0:
         raise ValueError("empty empirical split")
     _, S, A = replay.d.shape
-    weights = 1.0 - _prefix_weights_batch(oracle, d2.states)
+    weights = _prefix_weights_batch(oracle, d2.states)
+    np.subtract(1.0, weights, out=weights)
+    weights /= d2.n
     return MatchTarget(replay.d + cell_sums(d2.states, d2.actions, S, A,
-                                            weights / d2.n))
+                                            weights))
 
 
 def complement_exact(mdp, policy, oracle, include_current=False):

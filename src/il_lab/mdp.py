@@ -150,7 +150,11 @@ def rollout_batch(mdp, policy, n, seed):
     costs at most three absorb rounds; none for a stream whose table is
     fixed, since no hash can change its draws. Draws come from the policy's
     draw tables and the mdp's arrival tables (_arrival_tables), each built
-    once per object."""
+    once per object. The arrays are the buffers' F-order views, in the
+    narrowest signed dtype that holds every state and action index,
+    np.min_scalar_type(-max(S, A)), the rule of the tables' guides (int8
+    while max(S, A) <= 128): a caller forms an index product such as
+    s * A + a in a wider dtype, as the loop forms its row index in int64."""
     _check_dims(mdp, policy)
     H, A = mdp.horizon, mdp.num_actions
     arrive = _arrival_tables(mdp)
@@ -158,8 +162,9 @@ def rollout_batch(mdp, policy, n, seed):
     prefix = np.zeros(n, np.uint64)
     tmp, step, h = (np.empty_like(prefix) for _ in range(3))
     absorb(prefix, mix64_array(seed, np.arange(n, dtype=np.uint64)), tmp)
-    states = np.empty((H, n), dtype=np.int64)
-    actions = np.empty((H, n), dtype=np.int64)
+    index = np.min_scalar_type(-max(mdp.num_states, A))
+    states = np.empty((H, n), dtype=index)
+    actions = np.empty((H, n), dtype=index)
     rows = np.zeros(n, dtype=np.int64)
     for t in range(H):
         hash_state = arrive[t][2] is None
@@ -175,7 +180,7 @@ def rollout_batch(mdp, policy, n, seed):
             np.copyto(h, step)
             absorb(h, 1, tmp)
         actions[t] = categorical_rows(pi[t], states[t], h)
-        np.multiply(states[t], A, out=rows)
+        np.multiply(states[t], A, out=rows, dtype=np.int64)
         rows += actions[t]
     return states.T, actions.T
 
@@ -273,9 +278,17 @@ def _nonempty_ints(items):
 
 
 def _numbers(items):
-    """Every entry of a nested array is a number; [] has none to check."""
-    return all(_numbers(v) if type(v) is list else type(v) in (int, float)
-               for v in items)
+    """Every entry of a nested array is a number; [] has none to check.
+    Walks the nesting with a stack, so any depth the parser read is
+    checked without recursion."""
+    stack = [items]
+    while stack:
+        for v in stack.pop():
+            if type(v) is list:
+                stack.append(v)
+            elif type(v) not in (int, float):
+                return False
+    return True
 
 
 # The JSON kind a reader names for a key, by the Python type it stands for:
@@ -364,6 +377,16 @@ def save_json(obj, path):
         json.dump(obj, fh)
 
 
+def parse_json(text, source):
+    """json.loads, with a document nested too deep for the parser's
+    recursion rejected as a ValueError that names its source, such as the
+    file it was read from, not as a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{source}: JSON nested too deeply") from None
+
+
 def load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        return parse_json(fh.read(), path)

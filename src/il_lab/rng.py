@@ -158,11 +158,12 @@ def categorical_rows(table, rows, h_arr):
     are one lookup in the row's guide at the top bits of h; only the draws
     whose bucket a threshold splits count their row's thresholds. A fixed
     table answers every draw from its stored draws and reads no hash.
+    rows may have any integer dtype: the guide offset is formed in int64.
     Returns the indices in the guide's dtype."""
     thr, guide, fixed = table
     if fixed is not None:
         return fixed.take(rows)
-    q = rows << _GUIDE_BITS
+    q = np.left_shift(rows, _GUIDE_BITS, dtype=np.int64)
     q |= (h_arr >> _GUIDE_DROP).view(np.int64)
     out = guide.take(q)
     miss = np.flatnonzero(out < 0)

@@ -254,6 +254,69 @@ def test_missing_files_and_config_keys_end_in_a_message(tmp_path):
     assert not (tmp_path / "p.json").exists()
 
 
+# A JSON document nested deeper than the parser's recursion reaches.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_deeply_nested_json_ends_in_a_message(tmp_path):
+    # Every JSON file and --config mapping is parsed by one reader, which
+    # names the file (or --config) of a document nested too deeply,
+    # instead of letting a RecursionError through.
+    prefix = gen_instance(tmp_path)
+    data = gen_dataset(tmp_path, prefix)
+    mdp, pol = f"{prefix}.mdp.json", f"{prefix}.policy.json"
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    header, *rows = data.read_text().splitlines()
+    deep_header = tmp_path / "header.jsonl"
+    deep_header.write_text("\n".join([DEEP, *rows]) + "\n")
+    deep_row = tmp_path / "row.jsonl"
+    deep_row.write_text("\n".join([header, DEEP, *rows[1:]]) + "\n")
+    gen = ["gen-dataset", "--n", "4", "--out", str(tmp_path / "d.jsonl")]
+    train = ["train", "--learner", "re", "--instance", mdp,
+             "--out", str(tmp_path / "p.json"), "--dataset"]
+    nested = "JSON nested too deeply"
+    for argv, message in (
+            (gen + ["--instance", str(deep), "--policy", str(deep)],
+             f"gen-dataset: {deep}: {nested}"),
+            (gen + ["--instance", mdp, "--policy", str(deep)],
+             f"gen-dataset: {deep}: {nested}"),
+            (train + [str(deep_header)], f"train: {deep_header}: {nested}"),
+            (train + [str(deep_row)], f"train: {deep_row}: {nested}"),
+            (train + [str(data), "--config", str(deep)],
+             f"train: {deep}: {nested}"),
+            (train + [str(data), "--config", DEEP],
+             f"train: --config: {nested}")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == message
+    assert not (tmp_path / "d.jsonl").exists()
+    assert not (tmp_path / "p.json").exists()
+    argv = gen + ["--instance", str(deep), "--policy", str(deep)]
+    env = {**os.environ, "PYTHONPATH": str(Path(il_lab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "il_lab.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == f"gen-dataset: {deep}: {nested}\n"
+
+
+def test_an_array_the_parser_reads_is_checked_at_any_depth(tmp_path):
+    # rho nested 600 deep parses, and its entries are checked without
+    # recursing once per level; numpy then rejects its shape in one line.
+    prefix = gen_instance(tmp_path)
+    doc = load_json(f"{prefix}.mdp.json")
+    bad = tmp_path / "bad.mdp.json"
+    bad.write_text(json.dumps({**doc, "rho": None}).replace(
+        "null", "[" * 600 + "0.5" + "]" * 600))
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-dataset", "--instance", str(bad), "--policy",
+              f"{prefix}.policy.json", "--n", "4",
+              "--out", str(tmp_path / "d.jsonl")])
+    assert exc.value.code.startswith("gen-dataset: ")
+    assert "\n" not in exc.value.code
+
+
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 

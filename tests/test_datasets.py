@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from il_lab.acceptance import random_policy
 from il_lab.datasets import Dataset, SplitConfig, cell_sums, \
     empirical_occupancy, check_dataset, load_dataset, missing_mass, sample_dataset, save_dataset, split, \
     visited_table
 from il_lab.harness import make_instance
 from il_lab.instances import geometric_reset, make_bc_lb, make_fan, \
     make_mm_lb
+from il_lab.learners import bc_train
 from il_lab.mdp import exact_occupancy, l1_layer_distance
 from il_lab.rng import mix64, mix64_array
+from oracles import rollout
 
 
 def tiny_dataset(rows):
@@ -31,11 +34,12 @@ def test_sample_shapes_and_provenance():
 
 def test_sample_keeps_the_sampler_layout_read_only():
     # The sampler's (n,H) arrays are taken over as they are, in the F-order
-    # that bc_train's per-step counts read fastest, and frozen.
+    # that bc_train's per-step counts read fastest and in the narrow dtype
+    # the sampler writes, and frozen.
     mdp, expert = make_mm_lb(4, 100)
     ds = sample_dataset(mdp, expert, 64, 7)
     for arr in (ds.states, ds.actions):
-        assert arr.dtype == np.int64 and arr.flags.f_contiguous
+        assert arr.dtype == np.int8 and arr.flags.f_contiguous
         assert not arr.flags.writeable
 
 
@@ -100,6 +104,48 @@ def test_sample_rejects_empty():
     mdp, expert = make_mm_lb(4, 100)
     with pytest.raises(ValueError):
         sample_dataset(mdp, expert, 0, 1)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("family,dtype", [("bc-lb", np.int8),
+                                          ("fan", np.int16)])
+def test_narrow_indices_widen_every_product(family, dtype):
+    # bc-lb with S=100, A=2 stores int8, and s * A + a reaches 199; fan
+    # with 130 states stores int16, and a state's guide offset s << 8
+    # reaches 33024. The policy is stochastic, so every action draw looks
+    # up its guide at that offset (a fixed table never forms it), and its
+    # rows differ by state, so a draw from a wrong row shows. The sampler
+    # matches the scalar rollout, and every count matches the same data
+    # held as int64, bit for bit.
+    mdp, _ = make_bc_lb(100, 4) if family == "bc-lb" else make_fan(129, 4)
+    S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
+    policy = random_policy(mix64(43), S, A, H)
+    n, seed = 300, 41
+    ds = sample_dataset(mdp, policy, n, seed)
+    assert ds.states.dtype == ds.actions.dtype == dtype
+    for i in range(n):
+        traj = rollout(mdp, policy, mix64(seed, i))
+        assert ds.states[i].tolist() == traj.states.tolist()
+        assert ds.actions[i].tolist() == traj.actions.tolist()
+    wide = Dataset(ds.states, ds.actions)
+    assert wide.states.dtype == np.int64
+    top = np.iinfo(dtype).max
+    assert wide.states.max() << 8 > top
+    overflows = (wide.states * A + wide.actions).max() > top
+    assert overflows == (family == "bc-lb")
+    weights = np.linspace(0.0, 1.0, n * H).reshape(n, H)
+    for w in (None, weights):
+        assert same_bits(cell_sums(ds.states, ds.actions, S, A, w),
+                         cell_sums(wide.states, wide.actions, S, A, w))
+    assert same_bits(bc_train(ds, S, A, H).probs,
+                     bc_train(wide, S, A, H).probs)
+    assert same_bits(empirical_occupancy(ds, S, A).d,
+                     empirical_occupancy(wide, S, A).d)
+    assert same_bits(visited_table(ds, S), visited_table(wide, S))
 
 
 # ------------------------------------------------------------- empirical

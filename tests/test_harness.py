@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -269,6 +270,24 @@ def test_experiment_config_rejects_unknown_grid_and_seeds_keys():
     cfg = ExperimentConfig.from_json({**base,
                                       "seeds": {"count": 2, "base": 5}})
     assert [r.seed for r in run_experiment(cfg)] == [0, 1]
+
+
+def test_a_warm_re_cell_at_large_n_peaks_under_two_mib():
+    # A re cell on mm-lb at H=8, N=16384 allocates at most 2 MiB at its
+    # peak once the instance and its tables are cached: the sampler's
+    # index arrays are int8 and the replay weights one buffer. As int64,
+    # the dataset's two (n,H) arrays alone would fill the bound.
+    # tracemalloc counts numpy's buffers; the peak depends on no timing.
+    inst, learner = {"family": "mm-lb"}, {"id": "re"}
+    run_cell(inst, learner, 8, 16384, 1)
+    tracemalloc.start()
+    try:
+        row = run_cell(inst, learner, 8, 16384, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.status == "ok"
+    assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 # -------------------------------------------------------------------- csv

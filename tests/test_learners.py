@@ -109,6 +109,36 @@ def test_prefix_weight_non_increasing():
         assert all(a >= b for a, b in zip(ws, ws[1:]))
 
 
+def cumprod_prefix_weights(oracle, states):
+    """(n,H) prefix weights by one cumprod along each trajectory, shifted
+    one step: the reference _prefix_weights_batch equals bit for bit."""
+    mvals = oracle.m[np.arange(states.shape[1])[None, :], states]
+    cum = np.cumprod(mvals, axis=1)
+    out = np.ones_like(cum)
+    out[:, 1:] = cum[:, :-1]
+    return out
+
+
+@pytest.mark.parametrize("n,H", [(500, 7), (1, 5), (40, 1), (1, 1)])
+def test_prefix_weights_batch_equals_the_cumprod_reference(n, H):
+    # Soft memberships with full mantissas, so that every product rounds,
+    # and a hard oracle with zeros; narrow and int64 states in C- and
+    # F-order.
+    S = 4
+    u = np.array([mix64(53, i) for i in range(n * H + H * S)]) / 2.0**64
+    states = (u[:n * H] * S).astype(np.int8).reshape(n, H)
+    soft = MembershipOracle(u[n * H:].reshape(H, S))
+    hard = MembershipOracle((soft.m > 0.3).astype(np.float64))
+    for oracle in (soft, hard):
+        ref = cumprod_prefix_weights(oracle, states)
+        for dtype in (np.int8, np.int64):
+            for order in "CF":
+                got = _prefix_weights_batch(
+                    oracle, np.asarray(states, dtype=dtype, order=order))
+                assert got.shape == (n, H) and got.dtype == np.float64
+                assert got.tobytes() == ref.tobytes()
+
+
 # ----------------------------------------------------------------- replay
 
 def test_replay_with_full_membership_is_exact_occupancy():
