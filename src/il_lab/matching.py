@@ -10,7 +10,7 @@ solved by the breakpoint simplex, which prices each |d - g| with its
 breakpoint at g. Objectives are L1 distances (= 2 TV on probability
 layers); every threshold in this package is L1."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +23,8 @@ FLOW_TOL = 1e-8
 OBJ_TOL = 1e-8
 UNREACHABLE_MASS = 1e-12
 BRUTE_FORCE_CAP = 10**6
-# Match LPs kept per mdp. A grid cell matches on one instance for every seed.
+# Match LPs, and their crash factors, kept per mdp. A grid cell matches on
+# one instance for every seed.
 LP_CACHE = 16
 
 
@@ -83,6 +84,25 @@ def build_match_lp(mdp):
     return flow, b
 
 
+@dataclass(frozen=True)
+class CrashLp:
+    """An mdp's match LP (A, b) and crash basis, as a solve holds them. It
+    compares and hashes by the mdp alone, since the rest is a function of
+    it: the key of crash_factor."""
+
+    mdp: object
+    A: np.ndarray = field(compare=False)
+    b: np.ndarray = field(compare=False)
+    basis: list = field(compare=False)
+
+
+@lru_cache(maxsize=LP_CACHE)
+def crash_factor(lp):
+    """(B0^-1, B0^-1 b, B0^-1 A) of the crash basis B0, the simplex's first
+    round for every target: factored once per mdp and returned read-only."""
+    return sx.factor(lp.A, lp.b, lp.basis)
+
+
 def crash_basis(mdp):
     """Feasible start: the action-0 cells, one per flow row. The basis is
     triangular in time and its basic values are the always-action-0
@@ -96,7 +116,9 @@ def solve_occupancy_match(mdp, target):
     if g.shape != (mdp.horizon, mdp.num_states, mdp.num_actions):
         raise ValueError("target/mdp dimension mismatch")
     Amat, b = build_match_lp(mdp)
-    x, bound, status, iters = sx.simplex(Amat, b, g.ravel(), crash_basis(mdp))
+    basis = crash_basis(mdp)
+    first = crash_factor(CrashLp(mdp, Amat, b, basis))
+    x, bound, status, iters = sx.simplex(Amat, b, g.ravel(), basis, first)
     if status != "optimal":
         return LpSolution(None, np.inf, "numeric-failure", iters)
     d = x.reshape(g.shape)
@@ -108,11 +130,10 @@ def solve_occupancy_match(mdp, target):
 
 
 def _flow_residual(mdp, d):
+    """Max |flow row| violation of d, every layer's inflow in one einsum."""
     res = np.abs(d[0].sum(axis=1) - mdp.rho).max()
-    for t in range(mdp.horizon - 1):
-        inflow = np.einsum("sa,saz->z", d[t], mdp.transitions[t])
-        res = max(res, np.abs(d[t + 1].sum(axis=1) - inflow).max())
-    return res
+    inflow = np.einsum("tsa,tsaz->tz", d[:-1], mdp.transitions)
+    return np.abs(d[1:].sum(axis=2) - inflow).max(initial=res)
 
 
 def extract_policy(occupancies, mdp):

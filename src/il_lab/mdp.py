@@ -154,7 +154,8 @@ def rollout_batch(mdp, policy, n, seed):
     narrowest signed dtype that holds every state and action index,
     np.min_scalar_type(-max(S, A)), the rule of the tables' guides (int8
     while max(S, A) <= 128): a caller forms an index product such as
-    s * A + a in a wider dtype, as the loop forms its row index in int64."""
+    s * A + a in a wider dtype, as the loop widens each step's states to
+    int64 once and uses them for the action draw and the row index."""
     _check_dims(mdp, policy)
     H, A = mdp.horizon, mdp.num_actions
     arrive = _arrival_tables(mdp)
@@ -179,8 +180,9 @@ def rollout_batch(mdp, policy, n, seed):
         if hash_action:
             np.copyto(h, step)
             absorb(h, 1, tmp)
-        actions[t] = categorical_rows(pi[t], states[t], h)
-        np.multiply(states[t], A, out=rows, dtype=np.int64)
+        np.copyto(rows, states[t])  # the states, widened once per step
+        actions[t] = categorical_rows(pi[t], rows, h)
+        rows *= A
         rows += actions[t]
     return states.T, actions.T
 
@@ -378,13 +380,15 @@ def save_json(obj, path):
 
 
 def parse_json(text, source):
-    """json.loads, with a document nested too deep for the parser's
-    recursion rejected as a ValueError that names its source, such as the
-    file it was read from, not as a RecursionError."""
+    """json.loads, with a syntax error, or a document nested too deep for
+    the parser's recursion, rejected as a ValueError that names its source,
+    such as the file it was read from."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{source}: JSON nested too deeply") from None
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{source}: {err}") from None
 
 
 def load_json(path):

@@ -23,15 +23,20 @@ Dantzig pricing with a Bland fallback after a degenerate stall; iteration cap
 once and certifies it from the original data (basic values within their
 segments, no profitable direction); only when that fails does it build a
 tableau and iterate, so a crash that already prices out costs no tableau and
-accumulated drift cannot leak into results. The objective returned is the
-certificate's dual bound b.y + sum_j g_j min(1, -z_j). Never reports
-"optimal" without that certificate.
+accumulated drift cannot leak into results. The first round's factorization
+(B^-1, B^-1 b, B^-1 A; see factor) does not depend on g, so a caller that
+solves many targets from one basis may supply it: matching factors its crash
+once per mdp. Every later round factors its own basis. The objective
+returned is the certificate's dual bound b.y + sum_j g_j min(1, -z_j). Never
+reports "optimal" without that certificate.
 
 Each pivot's rank-1 update touches only the tableau entries whose pivot-row
 and pivot-column factors are both nonzero (a few percent of the pivot row on
 the matching LPs). Every other entry would have had an exact zero subtracted,
 so skipping it changes at most the sign of a zero: the pivot path, basis and
-solution are those of the dense update."""
+solution are those of the dense update. The loop keeps the segment ends of
+the basic variables by basis position and its pricing and ratios in buffers
+it allocates once, so an iteration gathers nothing by basis index."""
 
 import numpy as np
 
@@ -41,10 +46,23 @@ _PIVOT_MIN = 1e-9
 _MAX_ROUNDS = 20
 
 
-def simplex(A, b, g, basis):
+def factor(A, b, basis):
+    """(B^-1, B^-1 b, B^-1 A) for the basis B = A[:, basis], read-only: the
+    first round's factorization, which depends on the LP and the basis but
+    not on g. Raises LinAlgError when B is singular."""
+    Binv = np.linalg.inv(A[:, basis])
+    out = Binv, Binv @ b, Binv @ A
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def simplex(A, b, g, basis, first=None):
     """Returns (x, objective, status, iterations) with status in
     {"optimal", "numeric-failure"}; objective is the certificate's dual bound.
-    basis must index a basis that is feasible with every nonbasic x at 0."""
+    basis must index a basis that is feasible with every nonbasic x at 0.
+    first, if given, is factor(A, b, basis), which the first round then
+    takes instead of factoring the basis itself."""
     m, n = A.shape
     g = np.asarray(g, dtype=np.float64)
     basis = np.array(basis)
@@ -55,12 +73,15 @@ def simplex(A, b, g, basis):
     up[basis] = -np.inf  # basic x never enter
     total_it = 0
     for rnd in range(_MAX_ROUNDS):
-        try:
-            Binv = np.linalg.inv(A[:, basis])
-        except np.linalg.LinAlgError:
-            return None, np.inf, "numeric-failure", total_it
-        xb = Binv @ (b - A @ xn)
-        xb[np.abs(xb) < 1e-11] = 0.0
+        if rnd == 0 and first is not None:
+            Binv, xb, BinvA = first
+        else:
+            try:
+                Binv = np.linalg.inv(A[:, basis])
+            except np.linalg.LinAlgError:
+                return None, np.inf, "numeric-failure", total_it
+            xb, BinvA = Binv @ (b - A @ xn), None
+        xb = np.where(np.abs(xb) < 1e-11, 0.0, xb)
         if rnd == 0:
             below = xb < g[basis]
             lo[basis] = np.where(below, 0.0, g[basis])
@@ -76,7 +97,7 @@ def simplex(A, b, g, basis):
             bound = float(b @ y + g @ np.minimum(1.0, -z))
             return x, bound, "optimal", total_it
         T = np.zeros((m + 1, n + 1))
-        T[:m, :n] = Binv @ A
+        T[:m, :n] = Binv @ A if BinvA is None else BinvA
         T[:m, n] = xb
         T[m, :n] = z
         claimed, it = _iterate(T, basis, g, xn, lo, hi, up, down, STALL_LIMIT,
@@ -96,61 +117,71 @@ def _iterate(T, basis, g, xn, lo, hi, up, down, stall_limit, budget):
         raise ValueError("tableau must be C-contiguous")
     m, n = T.shape[0] - 1, T.shape[1] - 1
     flat, z, xb = T.reshape(-1), T[m, :n], T[:m, n]
+    # The segment of basis[i] is [lob[i], hib[i]], kept by basis position.
+    lob, hib = lo[basis], hi[basis]
+    r, fall = np.empty(n), np.empty(n)
+    neg, num, ratios = np.empty(m), np.empty(m), np.empty(m)
     bland = False
     stall = 0
     obj = last_obj = 0.0
     for it in range(max(budget, 1)):
-        r = np.maximum(z + up, down - z)
+        np.add(z, up, out=r)
+        np.subtract(down, z, out=fall)
+        np.maximum(r, fall, out=r)
         if bland:
-            js = np.flatnonzero(r > TOL)
+            js = (r > TOL).nonzero()[0]
             if js.size == 0:
                 return True, it
-            j = js[0]
+            j = int(js[0])
         else:
-            j = int(np.argmax(r))
-            if r[j] <= TOL:
+            j = int(r.argmax())
+            if r.item(j) <= TOL:
                 return True, it
-        sign = 1.0 if z[j] + up[j] >= down[j] - z[j] else -1.0
+        zj, gj, xj, rj = z.item(j), g.item(j), xn.item(j), r.item(j)
+        sign = 1.0 if zj + up.item(j) >= down.item(j) - zj else -1.0
         # x_j moves along [g, inf) with slope +1 if it rises from g, else
         # along [0, g] with slope -1, whose far end it reaches after g.
-        cj, reach = (1.0, np.inf) if sign > 0 and xn[j] == g[j] else \
-            (-1.0, g[j])
+        cj, reach = (1.0, np.inf) if sign > 0 and xj == gj else (-1.0, gj)
         # Moving x_j by sign * theta moves the basic values by -theta * alpha.
-        alpha = sign * T[:m, j]
-        ratios = np.full(m, np.inf)
-        np.divide(xb - lo[basis], alpha, out=ratios, where=alpha > _PIVOT_MIN)
-        np.divide(xb - hi[basis], alpha, out=ratios, where=alpha < -_PIVOT_MIN)
+        col = T[:m, j]
+        alpha = col if sign > 0 else np.negative(col, out=neg)
+        np.subtract(xb, np.where(alpha > 0.0, lob, hib), out=num)
+        ratios.fill(np.inf)
+        np.divide(num, alpha, out=ratios, where=np.abs(alpha) > _PIVOT_MIN)
         theta = ratios.min()
         if reach <= theta:
             if reach == np.inf:
                 return False, it  # unbounded direction: only reachable via drift
             step = reach
-            xb -= (sign * step) * T[:m, j]
-            xn[j] = g[j] - xn[j]
-            up[j], down[j] = _offsets(xn[j], g[j])
+            xb -= step * alpha
+            xn[j] = x = gj - xj
+            up[j], down[j] = _offsets(x, gj)
         else:
-            cand = np.flatnonzero(ratios <= theta + 1e-12)
-            if bland:
-                p = cand[np.argmin(basis[cand])]
+            cand = (ratios <= theta + 1e-12).nonzero()[0]
+            if cand.size == 1:
+                p = int(cand[0])
+            elif bland:
+                p = int(cand[np.argmin(basis[cand])])
             else:
-                p = cand[np.argmax(np.abs(alpha[cand]))]
-            step, leave = ratios[p], basis[p]
-            xb -= (sign * step) * T[:m, j]
-            xb[p] = xn[j] + sign * step
-            xn[leave] = lo[leave] if alpha[p] > 0 else hi[leave]
-            up[leave], down[leave] = _offsets(xn[leave], g[leave])
+                p = int(cand[np.argmax(np.abs(alpha[cand]))])
+            step, leave = ratios.item(p), int(basis[p])
+            xb -= step * alpha
+            xb[p] = xj + sign * step
+            xn[leave] = x = lob.item(p) if alpha.item(p) > 0 else hib.item(p)
+            up[leave], down[leave] = _offsets(x, g.item(leave))
             xn[j] = 0.0
-            lo[j], hi[j] = (g[j], np.inf) if cj > 0 else (0.0, g[j])
+            seg = (gj, np.inf) if cj > 0 else (0.0, gj)
+            lo[j], hi[j] = lob[p], hib[p] = seg
             up[j] = down[j] = -np.inf
             piv = T[p, :n] / T[p, j]
-            rows, cols = np.flatnonzero(T[:m, j]), np.flatnonzero(piv)
+            rows, cols = col.nonzero()[0], piv.nonzero()[0]
+            pc = piv[cols]
             # The entries of np.ix_(rows, cols), addressed more cheaply.
-            flat[rows[:, None] * (n + 1) + cols] -= np.outer(T[rows, j],
-                                                            piv[cols])
-            z[cols] -= (z[j] - cj) * piv[cols]
+            flat[rows[:, None] * (n + 1) + cols] -= col[rows][:, None] * pc
+            z[cols] -= (zj - cj) * pc
             T[p, :n] = piv
             basis[p] = j
-        obj -= step * r[j]
+        obj -= step * rj
         if obj > last_obj - 1e-12:
             stall += 1
             if stall >= stall_limit:

@@ -14,14 +14,16 @@ settings.load_profile("suite")
 @pytest.fixture
 def clear_caches():
     """Returns a function that empties every per-instance cache: the
-    instances, their draw tables and match LPs, and the experts' values.
+    instances, their draw tables, match LPs and crash factors, and the
+    experts' values.
     The caches are empty when the test starts."""
     from il_lab import harness, instances, matching, mdp
 
     def clear():
         for cached in (instances.make_mm_lb, instances._bc_lb,
                        mdp._arrival_tables, mdp._policy_tables,
-                       matching.build_match_lp, harness._expert_value):
+                       matching.build_match_lp, matching.crash_factor,
+                       harness._expert_value):
             cached.cache_clear()
     clear()
     return clear

@@ -192,7 +192,8 @@ def test_bad_input_ends_in_a_message(tmp_path):
         (train + [str(cfg_path)],
          "train: unknown replay-estimation config keys: frac"),
         (train + ['{"frac1": 0.3'],
-         "train: Expecting ',' delimiter: line 1 column 14 (char 13)"),
+         "train: --config: Expecting ',' delimiter: line 1 column 14 "
+         "(char 13)"),
         (train + [str(pairs_path)],
          "train: replay-estimation config must be a JSON object, got "
          '[["frac1", 0.3]]'),
@@ -299,6 +300,24 @@ def test_deeply_nested_json_ends_in_a_message(tmp_path):
                           timeout=120)
     assert done.returncode == 1
     assert done.stderr == f"gen-dataset: {deep}: {nested}\n"
+
+
+def test_a_json_syntax_error_names_its_file(tmp_path):
+    # Of the two files gen-dataset reads, the message names the broken one.
+    prefix = gen_instance(tmp_path)
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"horizon": 4,')
+    argv = ["gen-dataset", "--instance", f"{prefix}.mdp.json", "--policy",
+            str(broken), "--n", "4", "--out", str(tmp_path / "d.jsonl")]
+    env = {**os.environ, "PYTHONPATH": str(Path(il_lab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "il_lab.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == (f"gen-dataset: {broken}: Expecting property name "
+                           "enclosed in double quotes: line 1 column 15 "
+                           "(char 14)\n")
+    assert not (tmp_path / "d.jsonl").exists()
 
 
 def test_an_array_the_parser_reads_is_checked_at_any_depth(tmp_path):

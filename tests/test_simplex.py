@@ -4,8 +4,10 @@ import pytest
 pytest.importorskip("scipy")
 from scipy.optimize import linprog
 
+from il_lab.harness import run_cell
 from il_lab.instances import geometric_reset, make_bc_lb, make_mm_lb
-from il_lab.matching import build_match_lp, crash_basis
+from il_lab.matching import CrashLp, MatchTarget, build_match_lp, \
+    crash_basis, crash_factor, solve_occupancy_match
 from il_lab.mdp import deterministic_policy, exact_occupancy
 from il_lab.rng import mix64
 import il_lab.simplex as simplex_module
@@ -25,15 +27,19 @@ def unit(seed, *shape):
     return (flat / 2.0**64).reshape(shape)
 
 
-def l1_reference(A, b, g):
+def l1_reference(A, b, g, tol=None):
     """min sum e s.t. -e <= x - g <= e, Ax = b, x >= 0 by scipy HiGHS,
-    written from the definition."""
+    written from the definition; tol, if given, is HiGHS's primal and dual
+    feasibility tolerance."""
     m, n = A.shape
     eye = np.eye(n)
     res = linprog(np.r_[np.zeros(n), np.ones(n)],
                   A_ub=np.block([[eye, -eye], [-eye, -eye]]),
                   b_ub=np.r_[g, -g], A_eq=np.hstack([A, np.zeros((m, n))]),
-                  b_eq=b, bounds=(0, None), method="highs")
+                  b_eq=b, bounds=(0, None), method="highs",
+                  options=None if tol is None else {
+                      "primal_feasibility_tolerance": tol,
+                      "dual_feasibility_tolerance": tol})
     assert res.success, res.message
     return res.fun
 
@@ -303,3 +309,77 @@ def test_sparse_update_follows_the_dense_pivot_path():
         assert ("flip", False) in paths[k, 200][1], k
     assert ("flip", True) in paths[3, 1][1]  # a flip under Bland's rule
     assert paths[3, 1][0] != paths[3, 200][0]  # Bland's rule took over
+
+
+BC_LB = {"family": "bc-lb", "states": 16, "actions": 2, "reset": "geometric",
+         "ratio": 0.5, "construction_seed": 7}
+
+
+def matching_solves(monkeypatch):
+    """The arguments of every simplex call the matching solve makes from
+    now on."""
+    calls = []
+    real = simplex_module.simplex
+    monkeypatch.setattr(simplex_module, "simplex",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_a_cached_first_round_solves_bit_for_bit(clear_caches, monkeypatch):
+    # mm and re dataset targets and a tilted target on bc-lb S=16 and mm-lb,
+    # H=8: the solve passes its mdp's cached crash factor, and the same LP
+    # solved with simplex factoring its own first round gives the same x
+    # bytes, bound, status and iterations.
+    calls = matching_solves(monkeypatch)
+    for inst, (mdp, expert) in (
+            ({"family": "mm-lb"}, make_mm_lb(8, 1024)),
+            (BC_LB, make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7))):
+        for lid in ("mm", "re"):
+            for i in range(3):
+                row = run_cell(inst, {"id": lid}, 8, 1024, mix64(17, i))
+                assert row.status == "ok"
+        g = tilted_match_lp(mdp, expert)[2]
+        sol = solve_occupancy_match(mdp, MatchTarget(g.reshape(
+            mdp.horizon, mdp.num_states, mdp.num_actions)))
+        assert sol.status == "optimal"
+    assert len(calls) == 2 * (2 * 3 + 1)
+    assert crash_factor.cache_info().misses == 2
+    pivoted = 0
+    for A, b, g, basis, first in calls:
+        warm, cold = simplex(A, b, g, basis, first), simplex(A, b, g, basis)
+        assert warm[0].tobytes() == cold[0].tobytes()
+        assert warm[1:] == cold[1:]
+        pivoted += warm[3] > 0
+    assert pivoted >= 4
+
+
+def test_the_crash_factor_is_built_once_per_mdp_and_read_only(clear_caches):
+    mdp = make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7)[0]
+    A, b = build_match_lp(mdp)
+    basis = crash_basis(mdp)
+    first = crash_factor(CrashLp(mdp, A, b, basis))
+    # Keyed by the mdp alone: an equal LP held in other arrays hits.
+    assert crash_factor(CrashLp(mdp, A.copy(), b.copy(), list(basis))) \
+        is first
+    assert crash_factor.cache_info()[:2] == (1, 1)
+    Binv, xb, BinvA = first
+    assert not any(arr.flags.writeable for arr in first)
+    assert np.abs(Binv @ A[:, basis] - np.eye(len(basis))).max() <= 1e-12
+    assert np.array_equal(xb, Binv @ b)
+    assert np.array_equal(BinvA, Binv @ A)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the ratio test can step backwards (ROADMAP item 1)")
+def test_a_backward_ratio_step_still_reaches_the_optimum(monkeypatch):
+    # bc-lb S=16, H=4, N=16384, the re target of run seed mix64(9, 0, 77):
+    # from the action-0 crash the ratio test takes a negative step at
+    # iteration 49, and the solve ends in numeric-failure after 62
+    # iterations. HiGHS agrees with the certificate only at tight
+    # feasibility tolerances.
+    calls = matching_solves(monkeypatch)
+    run_cell(BC_LB, {"id": "re"}, 4, 16384, mix64(9, 0, 77))
+    (A, b, g, basis, _), = calls
+    x, obj, status, it = simplex(A, b, g, basis)
+    assert status == "optimal", (status, it)
+    assert abs(obj - l1_reference(A, b, g, tol=1e-10)) <= 1e-12
