@@ -15,7 +15,7 @@ from .harness import ExperimentConfig, conditional_gap_check, event_probe, \
     fit_slope, run_experiment
 from .instances import geometric_reset, make_bc_lb, make_fan, make_mm_lb, \
     make_two_state_uniform
-from .learners import MembershipOracle, ReConfig, bc_train, complement_exact, \
+from .learners import MembershipOracle, bc_train, complement_exact, match, \
     membership_tabular, mm_train, prefix_weight, re_pipeline, re_train, \
     replay_exact, replay_mc
 from .matching import MatchTarget, brute_force_match, extract_policy, \
@@ -308,18 +308,16 @@ def criterion_7():
         a_ok &= bool((dev <= bound).all())
         a_worst = max(a_worst, float((dev - bound).max()))
 
-    ds_b = sample_dataset(mdp, expert, 256, mix64(711, 1))
-    cfg_ones = ReConfig(split_seed=mix64(711, 2), oracle_override="ones")
-    pipe1 = re_pipeline(ds_b, mdp, cfg_ones)
+    d1_b, d2 = split(sample_dataset(mdp, expert, 256, mix64(711, 1)),
+                     SplitConfig(split_seed=mix64(711, 2)))
+    pipe1 = re_pipeline(d1_b, d2, mdp, MembershipOracle.ones(H, S))
     dj_ones = abs(policy_value(mdp, pipe1["policy"])
                   - policy_value(mdp, pipe1["bc"]))
     ones_ok = (dj_ones <= 1e-9
                and np.array_equal(pipe1["target"].g,
                                   pipe1["replay"].d))
 
-    cfg_zeros = ReConfig(split_seed=mix64(711, 2), oracle_override="zeros")
-    pipe0 = re_pipeline(ds_b, mdp, cfg_zeros)
-    d2 = pipe0["d2"]
+    pipe0 = re_pipeline(d1_b, d2, mdp, MembershipOracle.zeros(H, S))
     # The value identity needs D2's start-1 frequency at or above the true
     # 1/sqrt(N): otherwise the matcher gets free mass to route through the
     # (state 1, action 1) transition that the replay-side target charges for.
@@ -371,8 +369,7 @@ def criterion_8():
     ]
     ok, details = True, []
     for name, (mdp, expert) in cases:
-        target = MatchTarget.from_occupancy(exact_occupancy(mdp, expert))
-        learned = mm_train(target, mdp)
+        _, learned = match(mdp, MatchTarget(exact_occupancy(mdp, expert).d))
         gap = policy_value(mdp, expert) - policy_value(mdp, learned)
         ok &= abs(gap) <= 1e-9
         details.append(f"{name} {gap:.1e}")
@@ -486,8 +483,8 @@ def _prop_bit_reproducible():
     m1 = replay_mc(mdp, bc, orc, 500, 917).d
     m2 = replay_mc(mdp, bc, orc, 500, 917).d
     ok &= np.array_equal(m1, m2)
-    p1 = re_train(ds1, mdp, ReConfig(split_seed=916))
-    p2 = re_train(ds2, mdp, ReConfig(split_seed=916))
+    p1 = re_train(ds1, mdp, SplitConfig(split_seed=916))
+    p2 = re_train(ds2, mdp, SplitConfig(split_seed=916))
     ok &= np.array_equal(p1.probs, p2.probs)
     return bool(ok), "rollout, sampling, split, mc replay, re_train all bit-stable"
 

@@ -4,7 +4,7 @@ splitting, missing-mass accounting, and JSONL serialization. Datasets
 record state-action pairs only; rewards are never observed."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,14 +72,22 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """frac1 in (0,1); |D1| = round-half-up(frac1 * n)."""
+    """The D1/D2 split, and so the replay-estimation learner's config:
+    frac1 in (0,1), |D1| = round-half-up(frac1 * n), and the seed of the
+    permutation. Each field must have the JSON kind of its annotation
+    (SPLIT_KINDS), checked by mdp.check_json as the config is built."""
 
-    frac1: float
-    split_seed: int
+    frac1: float = 0.5
+    split_seed: int = 0
 
     def __post_init__(self):
+        check_json(vars(self), SPLIT_KINDS, "replay-estimation config")
         if not 0.0 < self.frac1 < 1.0:
             raise ValueError("frac1 must lie strictly in (0,1)")
+
+
+# Each SplitConfig field with the JSON kind of its annotation.
+SPLIT_KINDS = {f.name: f.type for f in fields(SplitConfig)}
 
 
 def sample_dataset(mdp, policy, n, seed, instance_id="", policy_id=""):

@@ -25,11 +25,10 @@ from itertools import product
 
 import numpy as np
 
-from .datasets import Dataset, sample_dataset
+from .datasets import SPLIT_KINDS, Dataset, SplitConfig, sample_dataset
 from .instances import (INSTANCE_CACHE, make_bc_lb, make_fan, make_mm_lb,
                         make_two_state_uniform, geometric_reset)
-from .learners import RE_CONFIG_KINDS, ReConfig, bc_train, mm_train, \
-    re_train
+from .learners import bc_train, mm_train, re_train
 from .mdp import check_json, policy_value, rollout_batch
 from .rng import mix64
 
@@ -147,10 +146,10 @@ def make_instance(inst_cfg, H, n_exp, draw_index):
 
 
 def train(learner, options, dataset, mdp):
-    """The learner dispatch: bc and mm read no key, re reads the ReConfig
-    fields (frac1, split_seed, oracle_override). options must be a JSON
-    object; a key the learner does not read, or a value of the wrong kind,
-    raises ValueError naming it (mdp.check_json)."""
+    """The learner dispatch: bc and mm read no key, re reads the SplitConfig
+    fields (frac1, split_seed). options must be a JSON object; a key the
+    learner does not read, or a value of the wrong kind, raises ValueError
+    naming it (mdp.check_json)."""
     if learner == "bc":
         check_json(options, {}, "bc config")
         return bc_train(dataset, mdp.num_states, mdp.num_actions,
@@ -159,8 +158,8 @@ def train(learner, options, dataset, mdp):
         check_json(options, {}, "mm config")
         return mm_train(dataset, mdp)
     if learner == "re":
-        check_json(options, RE_CONFIG_KINDS, "replay-estimation config")
-        return re_train(dataset, mdp, ReConfig(**options))
+        check_json(options, SPLIT_KINDS, "replay-estimation config")
+        return re_train(dataset, mdp, SplitConfig(**options))
     raise ValueError(f"unknown learner {learner!r}")
 
 
@@ -286,7 +285,10 @@ def _dataset_events(states, n_exp, coeff):
 def _event_draws(mdp, expert, n_exp, n_datasets, seed, coeff):
     """n_datasets expert datasets of size n_exp on the mm-lb instance mdp,
     rolled out _EVENT_CHUNK at a time; yields (states, actions, e1, e2, e3)
-    per batch, states and actions shaped (k, n_exp, H)."""
+    per batch, states and actions shaped (k, n_exp, H). Fewer than 100
+    datasets raise ValueError as the first batch is asked for."""
+    if n_datasets < 100:
+        raise ValueError("need at least 100 datasets")
     H = mdp.horizon
     for lo in range(0, n_datasets, _EVENT_CHUNK):
         k = min(_EVENT_CHUNK, n_datasets - lo)
@@ -299,8 +301,6 @@ def _event_draws(mdp, expert, n_exp, n_datasets, seed, coeff):
 def event_probe(n_exp, H, n_datasets, seed, coeff=DEFAULT_E3_COEFF):
     """Empirical frequencies of E1, E2, E3 and their intersection over
     n_datasets independent mm-lb expert datasets of size n_exp."""
-    if n_datasets < 100:
-        raise ValueError("need at least 100 datasets")
     mdp, expert = make_mm_lb(H, n_exp)
     hits = np.zeros(4, dtype=np.int64)
     for _, _, e1, e2, e3 in _event_draws(mdp, expert, n_exp, n_datasets,

@@ -9,15 +9,13 @@ complement_exact also take include_current, which multiplies in the current
 state too, so that acceptance criterion 7(c) checks their identity under
 both conventions; the learner uses the first."""
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import SplitConfig, cell_sums, empirical_occupancy, split, \
-    visited_table
+from .datasets import cell_sums, empirical_occupancy, split, visited_table
 from .matching import MatchTarget, extract_policy, solve_occupancy_match
-from .mdp import MarkovPolicy, OccupancyMeasures, check_json, \
-    exact_occupancy, rollout_batch
+from .mdp import MarkovPolicy, OccupancyMeasures, rollout_batch
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,29 +41,6 @@ class MembershipOracle:
         return cls(np.zeros((H, S)))
 
 
-@dataclass(frozen=True)
-class ReConfig:
-    """Replay-estimation config. frac1 and split_seed make the D1/D2 split.
-    oracle_override in {None, "ones", "zeros"} substitutes a constant
-    membership table (the estimator identities of acceptance criterion
-    7(b)). Each field must have the JSON kind of its annotation
-    (RE_CONFIG_KINDS), checked by mdp.check_json as the config is built."""
-
-    frac1: float = 0.5
-    split_seed: int = 0
-    oracle_override: str = None
-
-    def __post_init__(self):
-        check_json(vars(self), RE_CONFIG_KINDS, "replay-estimation config")
-        SplitConfig(self.frac1, self.split_seed)  # raises on a bad frac1
-        if self.oracle_override not in (None, "ones", "zeros"):
-            raise ValueError("oracle_override must be None, 'ones' or 'zeros'")
-
-
-# Each ReConfig field with the JSON kind of its annotation.
-RE_CONFIG_KINDS = {f.name: f.type for f in fields(ReConfig)}
-
-
 def bc_train(dataset, S, A, H):
     """Majority action per (s,t), a tie going to the smallest action index;
     unobserved (s,t) get the uniform row."""
@@ -79,23 +54,18 @@ def bc_train(dataset, S, A, H):
     return MarkovPolicy(probs)
 
 
-def mm_train(data, mdp):
+def mm_train(dataset, mdp):
     """Moment matching: L1-match the occupancy polytope to the empirical
-    measures of a Dataset, or directly to OccupancyMeasures / MatchTarget
-    (the infinite-data mode). Raises on solver numeric-failure."""
-    if isinstance(data, MatchTarget):
-        target = data
-    elif isinstance(data, OccupancyMeasures):
-        target = MatchTarget(data.d)
-    else:
-        target = MatchTarget(
-            empirical_occupancy(data, mdp.num_states, mdp.num_actions).d)
-    return _match(mdp, target)[1]
+    measures of a Dataset. Raises on solver numeric-failure."""
+    target = MatchTarget(
+        empirical_occupancy(dataset, mdp.num_states, mdp.num_actions).d)
+    return match(mdp, target)[1]
 
 
-def _match(mdp, target):
-    """(solution, policy) of the L1 occupancy match to target; raises on
-    solver numeric-failure."""
+def match(mdp, target):
+    """(solution, policy) of the L1 occupancy match to a MatchTarget, such
+    as an exact occupancy (the infinite-data mode of mm); raises on solver
+    numeric-failure."""
     sol = solve_occupancy_match(mdp, target)
     if sol.status != "optimal":
         raise RuntimeError(f"occupancy match failed: {sol.status}")
@@ -201,26 +171,22 @@ def complement_exact(mdp, policy, oracle, include_current=False):
     return d
 
 
-def re_pipeline(dataset, mdp, cfg):
-    """Full replay-estimation pipeline with intermediates exposed: split,
-    clone on D1, replay the clone exactly, patch with D2's moments, match.
-    Returns dict(d1, d2, oracle, bc, replay, target, solution, policy)."""
-    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
-    d1, d2 = split(dataset, SplitConfig(cfg.frac1, cfg.split_seed))
-    if cfg.oracle_override == "ones":
-        oracle = MembershipOracle.ones(H, S)
-    elif cfg.oracle_override == "zeros":
-        oracle = MembershipOracle.zeros(H, S)
-    else:
-        oracle = membership_tabular(d1, S, H)
-    bc = bc_train(d1, S, A, H)
+def re_pipeline(d1, d2, mdp, oracle):
+    """Replay estimation on a split and a membership oracle, with its
+    intermediates exposed: clone on D1, replay the clone exactly with the
+    oracle's prefix weights, patch with D2's moments, match. Returns
+    dict(bc, replay, target, solution, policy)."""
+    bc = bc_train(d1, mdp.num_states, mdp.num_actions, mdp.horizon)
     replay = replay_exact(mdp, bc, oracle)
     target = hybrid_estimate(replay, d2, oracle)
-    sol, policy = _match(mdp, target)
-    return {"d1": d1, "d2": d2, "oracle": oracle, "bc": bc, "replay": replay,
-            "target": target, "solution": sol, "policy": policy}
+    sol, policy = match(mdp, target)
+    return {"bc": bc, "replay": replay, "target": target, "solution": sol,
+            "policy": policy}
 
 
-def re_train(dataset, mdp, cfg=None):
-    """Replay estimation end to end; pure function of (dataset, cfg)."""
-    return re_pipeline(dataset, mdp, cfg or ReConfig())["policy"]
+def re_train(dataset, mdp, cfg):
+    """Replay estimation end to end on the split cfg (a SplitConfig) and
+    the tabular oracle of D1; a pure function of (dataset, cfg)."""
+    d1, d2 = split(dataset, cfg)
+    oracle = membership_tabular(d1, mdp.num_states, mdp.horizon)
+    return re_pipeline(d1, d2, mdp, oracle)["policy"]

@@ -45,10 +45,6 @@ class MatchTarget:
         g.flags.writeable = False
         object.__setattr__(self, "g", g)
 
-    @classmethod
-    def from_occupancy(cls, occ):
-        return cls(occ.d)
-
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:

@@ -10,10 +10,11 @@ import pytest
 
 import il_lab
 from il_lab.cli import main
-from il_lab.datasets import load_dataset
+from il_lab.datasets import SplitConfig, load_dataset
 from il_lab.harness import CSV_COLUMNS, ExperimentConfig, load_csv, \
     make_instance, train
 from il_lab.instances import make_mm_lb
+from il_lab.learners import re_train
 from il_lab.mdp import JSON_KINDS, load_json, mdp_from_json, \
     policy_from_json, policy_value, rollout_batch
 
@@ -160,14 +161,17 @@ def test_train_re_config_from_file(tmp_path):
     prefix = gen_instance(tmp_path)
     data = gen_dataset(tmp_path, prefix)
     cfg_path = tmp_path / "re.json"
-    cfg_path.write_text(json.dumps({"frac1": 0.3, "split_seed": 4,
-                                    "oracle_override": "ones"}))
+    cfg_path.write_text(json.dumps({"frac1": 0.3, "split_seed": 4}))
     out = tmp_path / "re.policy.json"
     rc = main(["train", "--learner", "re", "--instance", f"{prefix}.mdp.json",
                "--dataset", str(data), "--config", str(cfg_path),
                "--out", str(out)])
     assert rc == 0
-    policy_from_json(load_json(out))
+    learned = re_train(load_dataset(data),
+                       mdp_from_json(load_json(f"{prefix}.mdp.json")),
+                       SplitConfig(0.3, 4))
+    assert np.array_equal(policy_from_json(load_json(out)).probs,
+                          learned.probs)
 
 
 def test_bad_input_ends_in_a_message(tmp_path):
@@ -434,18 +438,17 @@ def test_gen_instance_uses_the_experiment_defaults(tmp_path):
 
 
 @pytest.mark.parametrize("config,message", [
-    ('{"oracle_override": false}', "oracle_override must be a string or "
-     "null, got false"),
+    ('{"frac1": false}', "frac1 must be a number, got false"),
     ('{"split_seed": 1.5}', "split_seed must be an integer, got 1.5"),
     ('{"frac1": "0.5"}', 'frac1 must be a number, got "0.5"'),
     ('{"split_seed": true}', "split_seed must be an integer, got true"),
-    ('{"oracle_override": 1}', "oracle_override must be a string or null, "
-     "got 1"),
-], ids=["oracle-override-false", "split-seed", "frac1", "split-seed-true",
-        "oracle-override"])
+    ('{"split_seed": null}', "split_seed must be an integer, got null"),
+], ids=["frac1-false", "split-seed", "frac1", "split-seed-true",
+        "split-seed-null"])
 def test_train_rejects_a_re_value_of_the_wrong_type(tmp_path, config,
                                                     message):
-    # false is not null, and a fractional seed is not rounded.
+    # false is not a number, null is not an integer, and a fractional seed
+    # is not rounded.
     prefix = gen_instance(tmp_path)
     data = gen_dataset(tmp_path, prefix)
     out = tmp_path / "p.json"
@@ -487,12 +490,17 @@ def test_train_bc_breaks_ties_to_the_lowest_action(tmp_path):
      "unknown replay-estimation config keys: replay_mode"),
     ("experiment", {"id": "re", "use_full_data": False},
      "unknown replay-estimation config keys: use_full_data"),
-], ids=["bc-tie-rule", "re-replay-mode", "experiment-re-use-full-data"])
+    ("train", ("re", {"oracle_override": "ones"}),
+     "unknown replay-estimation config keys: oracle_override"),
+    ("experiment", {"id": "re", "oracle_override": "ones"},
+     "unknown replay-estimation config keys: oracle_override"),
+], ids=["bc-tie-rule", "re-replay-mode", "experiment-re-use-full-data",
+        "re-oracle-override", "experiment-re-oracle-override"])
 def test_removed_learner_keys_are_unknown(tmp_path, command, config,
                                           message):
     # Each learner id names one algorithm: bc breaks ties to the lowest
-    # action, and re replays exactly and patches with D2, so no key selects
-    # another.
+    # action, and re replays exactly with D1's own membership oracle and
+    # patches with D2, so no key selects another.
     if command == "train":
         prefix = gen_instance(tmp_path)
         learner, options = config
@@ -782,7 +790,6 @@ JSON_KIND_ROWS = [
     ("instance-config", "reset", 1, "a string or null"),
     ("instance-config", "states", np.int64(16), "an integer"),
     ("re-config", "split_seed", True, "an integer"),
-    ("re-config", "oracle_override", False, "a string or null"),
     ("re-config", "frac1", np.float64(0.5), "a number"),
 ]
 

@@ -12,7 +12,7 @@ from il_lab.harness import CSV_COLUMNS, ExperimentConfig, ResultRow, \
     conditional_gap_check, event_probe, fit_slope, load_csv, make_instance, \
     rows_to_csv, run_cell, run_experiment, train
 from il_lab.instances import geometric_reset, make_bc_lb, make_mm_lb
-from il_lab.learners import ReConfig, re_train
+from il_lab.learners import re_train
 from il_lab.mdp import policy_value
 from il_lab.rng import mix64
 
@@ -134,7 +134,7 @@ def test_re_learner_keys():
     mdp, expert = make_mm_lb(4, 64)
     seed = mix64(3, 0, 0)
     ds = sample_dataset(mdp, expert, 64, mix64(seed, 1))
-    learned = re_train(ds, mdp, ReConfig(frac1=0.9, split_seed=mix64(seed, 2)))
+    learned = re_train(ds, mdp, SplitConfig(0.9, mix64(seed, 2)))
     row = run_cell({"family": "mm-lb"}, {"id": "re", "frac1": 0.9}, 4, 64,
                    seed)
     assert row.gap == policy_value(mdp, expert) - policy_value(mdp, learned)
@@ -147,15 +147,15 @@ def test_re_learner_keys():
 
 
 def test_train_builds_re_config_from_its_fields():
-    # re reads exactly the ReConfig fields, by name: train's options are
-    # ReConfig(**options). A bad key or value is rejected as the config is
-    # built, before the dataset or the instance is read.
+    # re reads exactly the SplitConfig fields, by name: train's options are
+    # SplitConfig(**options). A bad key or value is rejected as the config
+    # is built, before the dataset or the instance is read.
     mdp, expert = make_mm_lb(4, 64)
     ds = sample_dataset(mdp, expert, 64, 5)
-    doc = {"frac1": 0.3, "split_seed": 5, "oracle_override": "ones"}
-    assert set(doc) == {f.name for f in fields(ReConfig)}
-    assert ReConfig(**doc) == ReConfig(0.3, 5, "ones")
-    for opts, cfg in ((doc, ReConfig(**doc)), ({}, ReConfig())):
+    doc = {"frac1": 0.3, "split_seed": 5}
+    assert set(doc) == {f.name for f in fields(SplitConfig)}
+    assert SplitConfig(**doc) == SplitConfig(0.3, 5)
+    for opts, cfg in ((doc, SplitConfig(**doc)), ({}, SplitConfig())):
         assert np.array_equal(train("re", opts, ds, mdp).probs,
                               re_train(ds, mdp, cfg).probs)
     for opts, message in (({"frac": 0.3, "seed": 1, "split_seed": 3},
@@ -163,7 +163,9 @@ def test_train_builds_re_config_from_its_fields():
                            "frac, seed$"),
                           ({"split": SplitConfig(0.3, 5)}, "keys: split$"),
                           ({"frac1": 1.5}, "frac1"),
-                          ({"oracle_override": "twos"}, "oracle_override")):
+                          ({"oracle_override": "ones"},
+                           "^unknown replay-estimation config keys: "
+                           "oracle_override$")):
         with pytest.raises(ValueError, match=message):
             train("re", opts, None, None)
 
@@ -344,6 +346,13 @@ def test_conditional_gap_check_passes_on_conditioned_draws():
 def test_conditional_gap_check_rejects_bad_horizon():
     with pytest.raises(ValueError, match="H >= 4"):
         conditional_gap_check(100, 3, 1000, seed=1)
+
+
+@pytest.mark.parametrize("n_datasets", [-3, 0, 99])
+def test_conditional_gap_check_rejects_too_few_datasets(n_datasets):
+    # The same check as event_probe's, not an "inconclusive" report.
+    with pytest.raises(ValueError, match="^need at least 100 datasets$"):
+        conditional_gap_check(100, 4, n_datasets, seed=1)
 
 
 # ------------------------------------------------------------------ slopes

@@ -7,10 +7,10 @@ from il_lab.datasets import Dataset, SplitConfig, empirical_occupancy, \
     sample_dataset, split
 from il_lab.instances import geometric_reset, make_bc_lb, make_mm_lb, \
     make_two_state_uniform
-from il_lab.learners import MembershipOracle, ReConfig, \
-    _prefix_weights_batch, bc_train, complement_exact, hybrid_estimate, \
-    membership_tabular, mm_train, prefix_weight, re_pipeline, re_train, \
-    replay_exact, replay_mc
+from il_lab.learners import MembershipOracle, _prefix_weights_batch, \
+    bc_train, complement_exact, hybrid_estimate, match, membership_tabular, \
+    mm_train, prefix_weight, re_pipeline, re_train, replay_exact, replay_mc
+from il_lab.matching import MatchTarget
 from il_lab.mdp import exact_occupancy, l1_layer_distance, policy_value
 from il_lab.rng import mix64
 
@@ -73,8 +73,9 @@ def test_mm_large_sample_closes_value_gap():
 
 
 def test_mm_accepts_exact_occupancies():
+    # The infinite-data mode of mm: match the expert's exact occupancy.
     mdp, expert = make_mm_lb(4, 100)
-    pol = mm_train(exact_occupancy(mdp, expert), mdp)
+    _, pol = match(mdp, MatchTarget(exact_occupancy(mdp, expert).d))
     assert policy_value(mdp, pol) == pytest.approx(1.5, abs=1e-9)
 
 
@@ -260,15 +261,22 @@ def test_complement_routes_match_on_self_distribution():
 
 # --------------------------------------------------------------------- re
 
+def re_split(ds, mdp, split_seed):
+    """re_train's inputs to re_pipeline: (D1, D2) and D1's tabular oracle."""
+    d1, d2 = split(ds, SplitConfig(split_seed=split_seed))
+    return d1, d2, membership_tabular(d1, mdp.num_states, mdp.horizon)
+
+
 def test_re_pipeline_exposes_consistent_intermediates():
     mdp, expert = make_mm_lb(8, 256)
     ds = sample_dataset(mdp, expert, 256, 31)
-    out = re_pipeline(ds, mdp, ReConfig(split_seed=7))
-    assert out["d1"].n + out["d2"].n == 256
+    d1, d2, oracle = re_split(ds, mdp, 7)
+    out = re_pipeline(d1, d2, mdp, oracle)
+    assert set(out) == {"bc", "replay", "target", "solution", "policy"}
     assert out["solution"].status == "optimal"
     assert out["target"].g.shape == (8, 2, 2)
-    assert np.array_equal(
-        out["oracle"].m, membership_tabular(out["d1"], 2, 8).m)
+    assert np.array_equal(out["policy"].probs,
+                          re_train(ds, mdp, SplitConfig(0.5, 7)).probs)
     J = policy_value(mdp, out["policy"])
     assert 0.0 <= policy_value(mdp, expert) - J <= 8.0
 
@@ -276,8 +284,8 @@ def test_re_pipeline_exposes_consistent_intermediates():
 def test_re_with_ones_override_reduces_to_bc_replay():
     mdp, expert = make_mm_lb(8, 256)
     ds = sample_dataset(mdp, expert, 256, 35)
-    cfg = ReConfig(split_seed=7, oracle_override="ones")
-    out = re_pipeline(ds, mdp, cfg)
+    d1, d2, _ = re_split(ds, mdp, 7)
+    out = re_pipeline(d1, d2, mdp, MembershipOracle.ones(8, 2))
     # With full membership the hybrid is exactly the BC replay occupancy, a
     # consistent target, so matching reproduces the BC policy's value.
     assert np.array_equal(out["target"].g, out["replay"].d)
@@ -289,31 +297,32 @@ def test_re_with_ones_override_reduces_to_bc_replay():
 def test_re_train_is_pure():
     mdp, expert = make_mm_lb(8, 128)
     ds = sample_dataset(mdp, expert, 128, 39)
-    cfg = ReConfig(split_seed=3)
+    cfg = SplitConfig(split_seed=3)
     a = re_train(ds, mdp, cfg)
     b = re_train(ds, mdp, cfg)
     assert np.array_equal(a.probs, b.probs)
 
 
 def test_re_config_validation():
-    with pytest.raises(ValueError, match="oracle_override"):
-        ReConfig(oracle_override="twos")
+    # The re learner's config is the split's: frac1 and split_seed, with
+    # the defaults 0.5 and 0, positional or by name.
     for frac1 in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError, match="frac1"):
-            ReConfig(frac1=frac1)
-    assert [f.name for f in fields(ReConfig)] == ["frac1", "split_seed",
-                                                  "oracle_override"]
+            SplitConfig(frac1=frac1)
+    assert [f.name for f in fields(SplitConfig)] == ["frac1", "split_seed"]
+    assert SplitConfig() == SplitConfig(0.5, 0)
+    assert SplitConfig(0.3, 5) == SplitConfig(frac1=0.3, split_seed=5)
 
 
 def test_re_config_names_a_numpy_value_and_its_type():
     with pytest.raises(ValueError, match=r"^replay-estimation config: "
                                          r"split_seed must be an integer, "
                                          r"got 3 \(numpy\.int64\)$"):
-        ReConfig(split_seed=np.int64(3))
+        SplitConfig(split_seed=np.int64(3))
     with pytest.raises(ValueError, match=r"^replay-estimation config: frac1 "
                                          r"must be a number, got 0\.5 "
                                          r"\(numpy\.float64\)$"):
-        ReConfig(frac1=np.float64(0.5))
+        SplitConfig(frac1=np.float64(0.5))
 
 
 def test_re_pipeline_replays_d1_exactly_and_patches_with_d2():
@@ -322,13 +331,14 @@ def test_re_pipeline_replays_d1_exactly_and_patches_with_d2():
     # of the D1 clone plus that term, bit for bit.
     mdp, expert = make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7)
     ds = sample_dataset(mdp, expert, 64, 47)
-    out = re_pipeline(ds, mdp, ReConfig(split_seed=5))
-    assert np.array_equal(out["bc"].probs, bc_train(out["d1"], 16, 2, 8).probs)
-    replay = replay_exact(mdp, out["bc"], out["oracle"])
+    d1, d2, oracle = re_split(ds, mdp, 5)
+    out = re_pipeline(d1, d2, mdp, oracle)
+    assert np.array_equal(out["bc"].probs, bc_train(d1, 16, 2, 8).probs)
+    replay = replay_exact(mdp, out["bc"], oracle)
     assert np.array_equal(out["replay"].d, replay.d)
     assert not np.array_equal(out["target"].g, replay.d)
-    assert np.array_equal(
-        out["target"].g, hybrid_estimate(replay, out["d2"], out["oracle"]).g)
+    assert np.array_equal(out["target"].g,
+                          hybrid_estimate(replay, d2, oracle).g)
 
 
 def test_re_replays_expert_action_on_covered_states():
@@ -336,8 +346,9 @@ def test_re_replays_expert_action_on_covered_states():
     # replay keeps that mass on expert cells.
     mdp, expert = make_mm_lb(4, 64)
     ds = sample_dataset(mdp, expert, 64, 43)
-    out = re_pipeline(ds, mdp, ReConfig(split_seed=5))
-    seen = membership_tabular(out["d1"], 2, 4).m.astype(bool)
+    d1, d2, oracle = re_split(ds, mdp, 5)
+    out = re_pipeline(d1, d2, mdp, oracle)
+    seen = oracle.m.astype(bool)
     bc = out["bc"].probs
     assert np.all(bc[:, :, 0][seen] == 1.0)
     rep = out["replay"].d

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from il_lab.acceptance import random_mdp, random_policy, random_target
-from il_lab.datasets import empirical_occupancy, sample_dataset
+from il_lab.datasets import SplitConfig, empirical_occupancy, \
+    sample_dataset, split
 from il_lab.instances import geometric_reset, make_bc_lb, make_mm_lb
-from il_lab.learners import ReConfig, re_pipeline
+from il_lab.learners import membership_tabular, re_pipeline
 from il_lab.matching import MatchTarget, brute_force_match, build_match_lp, \
     crash_basis, extract_policy, solve_occupancy_match
 from il_lab.mdp import OccupancyMeasures, TabularMdp, deterministic_policy, \
@@ -21,8 +22,9 @@ def bc_lb_targets(n=1024, seed=515):
     mdp, expert = make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7)
     ds = sample_dataset(mdp, expert, n, mix64(seed, 1))
     emp = empirical_occupancy(ds, mdp.num_states, mdp.num_actions)
-    hybrid = re_pipeline(ds, mdp, ReConfig(split_seed=seed))
-    return mdp, [MatchTarget.from_occupancy(emp), hybrid["target"]]
+    d1, d2 = split(ds, SplitConfig(split_seed=seed))
+    hybrid = re_pipeline(d1, d2, mdp, membership_tabular(d1, 16, 8))
+    return mdp, [MatchTarget(emp.d), hybrid["target"]]
 
 
 def l1_match_reference(mdp, g):
@@ -126,7 +128,7 @@ def test_target_validation():
 
 def test_exact_target_reached():
     mdp, expert = make_mm_lb(4, 100)
-    target = MatchTarget.from_occupancy(exact_occupancy(mdp, expert))
+    target = MatchTarget(exact_occupancy(mdp, expert).d)
     sol = solve_occupancy_match(mdp, target)
     assert sol.status == "optimal"
     assert sol.objective <= 1e-9
@@ -210,8 +212,8 @@ def test_extract_rejects_flow_violations():
 def test_matching_is_idempotent():
     mdp, expert = make_mm_lb(4, 64)
     sol = solve_occupancy_match(
-        mdp, MatchTarget.from_occupancy(exact_occupancy(mdp, expert)))
-    sol2 = solve_occupancy_match(mdp, MatchTarget.from_occupancy(sol.occupancies))
+        mdp, MatchTarget(exact_occupancy(mdp, expert).d))
+    sol2 = solve_occupancy_match(mdp, MatchTarget(sol.occupancies.d))
     assert sol2.status == "optimal"
     assert sol2.objective <= 1e-9
     assert np.abs(sol2.occupancies.d - sol.occupancies.d).sum() <= 1e-8
@@ -221,7 +223,7 @@ def test_zero_objective_forces_expert_value():
     # A consistent target leaves no slack: any optimal point has d = g, so
     # the extracted policy earns exactly the target's value.
     mdp, expert = make_mm_lb(8, 1024)
-    target = MatchTarget.from_occupancy(exact_occupancy(mdp, expert))
+    target = MatchTarget(exact_occupancy(mdp, expert).d)
     sol = solve_occupancy_match(mdp, target)
     assert sol.objective <= 1e-9
     pol = extract_policy(sol.occupancies, mdp)

@@ -1,5 +1,6 @@
 """The library imports nothing at run time but the standard library, numpy
-and itself; scipy and the other test tools stay test-only."""
+and itself; scipy and the other test tools stay test-only. Every name a
+module imports is used there; only __init__.py imports to re-export."""
 
 import ast
 import sys
@@ -36,3 +37,29 @@ def test_a_third_party_import_is_caught():
     tree = ast.parse("import os\nfrom scipy import optimize\n"
                      "from .rng import mix64\nimport numpy.linalg as la\n")
     assert set(imported_roots(tree)) - ALLOWED == {"scipy"}
+
+
+def unused_imports(tree):
+    """The names the module's imports bind that no expression reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names if alias.name != "*")
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(unused_imports(tree)) == []
+
+
+def test_an_unused_import_is_caught():
+    tree = ast.parse("import os.path\nimport numpy as np\n"
+                     "from .rng import mix64, mix64_array as mixa\n"
+                     "x = np.zeros(mixa(1, 2))\n")
+    assert unused_imports(tree) == {"os", "mix64"}
