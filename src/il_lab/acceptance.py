@@ -197,17 +197,22 @@ def criterion_5():
 
 # ----------------------------------------------------------- criterion 6
 
-def _policy_grid(A, steps=64):
+# Criterion 6's policy grid: action probabilities in steps of 1/_GRID_STEPS.
+_GRID_STEPS = 64
+
+
+def _policy_grid(A):
     if A == 1:
         return np.ones((1, 1))
-    p = np.arange(steps + 1) / steps
+    p = np.arange(_GRID_STEPS + 1) / _GRID_STEPS
     return np.stack([p, 1.0 - p], axis=1)
 
 
 def _grid_min(mdp, g):
     """Min of sum_t L1(d_t, g_t) over stochastic policies with rows on the
-    1/64 grid. Only shapes where the search is separable (A=1, H=1, S=1) or
-    has one coupled layer (H=2) are supported; callers filter for those."""
+    1/_GRID_STEPS grid. Only shapes where the search is separable (A=1, H=1,
+    S=1) or has one coupled layer (H=2) are supported; callers filter for
+    those."""
     S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
     G = _policy_grid(A)
     K = len(G)
@@ -235,10 +240,11 @@ def _grid_min(mdp, g):
 
 
 def _layer_min(w, g, G):
-    """min_k |w G_k - g|_1 over the A=2 grid rows G_k = (k, 64 - k) / 64,
-    for each state mass in w. The deviation is convex and piecewise linear in
-    k with breakpoints 64 g_0 / w and 64 (1 - g_1 / w), so the grid minimum
-    lies at the floor or ceiling of a breakpoint, or at k = 0 or 64."""
+    """min_k |w G_k - g|_1 over the A=2 grid rows G_k = (k, K - k) / K,
+    K = _GRID_STEPS, for each state mass in w. The deviation is convex and
+    piecewise linear in k with breakpoints K g_0 / w and K (1 - g_1 / w), so
+    the grid minimum lies at the floor or ceiling of a breakpoint, or at
+    k = 0 or K."""
     steps = len(G) - 1
     bp = np.zeros((len(w), 2))
     np.divide(steps * np.c_[np.full_like(w, g[0]), w - g[1]], w[:, None],
@@ -273,7 +279,7 @@ def criterion_6():
         if A == 1 or S == 1 or H <= 2:
             grid_checked += 1
             gmin = _grid_min(mdp, target.g)
-            slack = H * (H + 1) / 2 / 64
+            slack = H * (H + 1) / 2 / _GRID_STEPS
             err = max(sol.objective - 1e-8 - gmin, gmin - sol.objective - slack)
             worst_grid = max(worst_grid, err)
             if err > 1e-8:
@@ -528,7 +534,7 @@ def check_ids(ids):
     return ids
 
 
-def run(only=None, out=print):
+def run(only=None):
     """Run criteria (all, or the ids in `only`); one PASS/FAIL line each.
     Returns {id: (ok, detail)}. Unknown ids raise ValueError before any
     criterion runs, so a mistyped subset cannot pass vacuously."""
@@ -541,7 +547,7 @@ def run(only=None, out=print):
         t0 = time.perf_counter()
         ok, detail = fn()
         el = time.perf_counter() - t0
-        out(f"ACCEPTANCE {k} ({name}): {'PASS' if ok else 'FAIL'} "
-            f"[{el:.1f}s] {detail}")
+        print(f"ACCEPTANCE {k} ({name}): {'PASS' if ok else 'FAIL'} "
+              f"[{el:.1f}s] {detail}")
         results[k] = (ok, detail)
     return results

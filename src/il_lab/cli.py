@@ -15,8 +15,8 @@ import sys
 from . import acceptance
 from .datasets import check_dataset, load_dataset, sample_dataset, \
     save_dataset
-from .harness import DEFAULT_E3_COEFF, ExperimentConfig, event_probe, \
-    fit_slope, load_csv, make_instance, rows_to_csv, run_experiment, train
+from .harness import ExperimentConfig, event_probe, fit_slope, load_csv, \
+    make_instance, rows_to_csv, run_experiment, train
 from .mdp import load_json, mdp_from_json, mdp_to_json, parse_json, \
     policy_from_json, policy_to_json, policy_value, save_json
 
@@ -73,8 +73,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_probe_events(args):
-    rep = event_probe(args.n_exp, args.H, args.datasets, args.seed,
-                      coeff=args.coeff)
+    rep = event_probe(args.n_exp, args.H, args.datasets, args.seed)
     print(json.dumps(rep, indent=2))
     return 0
 
@@ -152,8 +151,6 @@ def build_parser():
     pe.add_argument("--H", type=int, required=True)
     pe.add_argument("--datasets", type=int, required=True)
     pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--coeff", type=float, default=DEFAULT_E3_COEFF,
-                    help="deviation coefficient in the third event")
     pe.set_defaults(func=_cmd_probe_events)
 
     f = sub.add_parser("fit", help="log-log slope of mean gap from a CSV")

@@ -59,9 +59,6 @@ class Dataset:
     def horizon(self):
         return self.states.shape[1]
 
-    def __len__(self):
-        return self.n
-
     def subset(self, idx):
         """The trajectories idx selects. Fancy indexing makes fresh arrays
         and a basic slice views arrays already frozen, so they are adopted,

@@ -32,7 +32,8 @@ from .learners import bc_train, mm_train, re_train
 from .mdp import check_json, policy_value, rollout_batch
 from .rng import mix64
 
-DEFAULT_E3_COEFF = 0.5
+# E3's deviation coefficient: criteria 2 and 3 were frozen with this value.
+E3_COEFF = 0.5
 # Datasets rolled out per batch by the event probes, and the conditional
 # gap check's tolerance.
 _EVENT_CHUNK = 1000
@@ -264,11 +265,11 @@ def _csv_field(field, rec, path, line):
 
 # ------------------------------------------------------------- event probe
 
-def _dataset_events(states, n_exp, coeff):
+def _dataset_events(states, n_exp):
     """Events on a batch of mm-lb expert datasets, states (D, n, H).
     E1: every state seen at every step. E2: at most sqrt(n_exp) trajectories
     start at state 1. E3: the common state distribution at steps t >= 1 is
-    (1/2 - delta, 1/2 + delta) with delta >= coeff/sqrt(n_exp). Comparisons
+    (1/2 - delta, 1/2 + delta) with delta >= E3_COEFF/sqrt(n_exp). Comparisons
     are on integer counts to keep boundaries exact."""
     D, n, H = states.shape
     root = math.sqrt(n_exp)
@@ -278,11 +279,11 @@ def _dataset_events(states, n_exp, coeff):
     start1 = (states[:, :, 0] == 1).sum(axis=1)
     e2 = start1 <= root
     c0 = (states[:, :, 1] == 0).sum(axis=1)
-    e3 = (n - 2 * c0) >= 2.0 * coeff * root
+    e3 = (n - 2 * c0) >= 2.0 * E3_COEFF * root
     return e1, e2, e3
 
 
-def _event_draws(mdp, expert, n_exp, n_datasets, seed, coeff):
+def _event_draws(mdp, expert, n_exp, n_datasets, seed):
     """n_datasets expert datasets of size n_exp on the mm-lb instance mdp,
     rolled out _EVENT_CHUNK at a time; yields (states, actions, e1, e2, e3)
     per batch, states and actions shaped (k, n_exp, H). Fewer than 100
@@ -295,25 +296,25 @@ def _event_draws(mdp, expert, n_exp, n_datasets, seed, coeff):
         states, actions = rollout_batch(mdp, expert, k * n_exp, mix64(seed, lo))
         states = states.reshape(k, n_exp, H)
         yield (states, actions.reshape(k, n_exp, H),
-               *_dataset_events(states, n_exp, coeff))
+               *_dataset_events(states, n_exp))
 
 
-def event_probe(n_exp, H, n_datasets, seed, coeff=DEFAULT_E3_COEFF):
+def event_probe(n_exp, H, n_datasets, seed):
     """Empirical frequencies of E1, E2, E3 and their intersection over
     n_datasets independent mm-lb expert datasets of size n_exp."""
     mdp, expert = make_mm_lb(H, n_exp)
     hits = np.zeros(4, dtype=np.int64)
     for _, _, e1, e2, e3 in _event_draws(mdp, expert, n_exp, n_datasets,
-                                         seed, coeff):
+                                         seed):
         hits += [e1.sum(), e2.sum(), e3.sum(), (e1 & e2 & e3).sum()]
     freq = hits / n_datasets
-    return {"n_datasets": n_datasets, "coeff": coeff,
+    return {"n_datasets": n_datasets, "coeff": E3_COEFF,
             "p_e1": float(freq[0]), "p_e2": float(freq[1]),
             "p_e3": float(freq[2]), "p_all": float(freq[3]),
             "count_all": int(hits[3])}
 
 
-def conditional_gap_check(n_exp, H, n_datasets, seed, coeff=DEFAULT_E3_COEFF):
+def conditional_gap_check(n_exp, H, n_datasets, seed):
     """On every dataset draw satisfying E1, E2, E3 the moment-matching gap
     must equal (H-1)/(2 sqrt(n_exp)) within _GAP_TOL. Reports
     "inconclusive" when no draw conditions. Invalid parameters raise
@@ -323,17 +324,15 @@ def conditional_gap_check(n_exp, H, n_datasets, seed, coeff=DEFAULT_E3_COEFF):
     je = policy_value(mdp, expert)
     checked, max_err = 0, 0.0
     for states, actions, e1, e2, e3 in _event_draws(mdp, expert, n_exp,
-                                                    n_datasets, seed, coeff):
+                                                    n_datasets, seed):
         for i in np.flatnonzero(e1 & e2 & e3):
             ds = Dataset(states[i], actions[i])
             gap = je - policy_value(mdp, mm_train(ds, mdp))
             max_err = max(max_err, abs(gap - expected))
             checked += 1
-    if checked == 0:
-        return {"status": "inconclusive", "conditioning": 0, "checked": 0,
-                "expected_gap": expected, "max_abs_err": 0.0}
-    status = "pass" if max_err <= _GAP_TOL else "fail"
-    return {"status": status, "conditioning": checked, "checked": checked,
+    status = ("inconclusive" if checked == 0
+              else "pass" if max_err <= _GAP_TOL else "fail")
+    return {"status": status, "conditioning": checked,
             "expected_gap": expected, "max_abs_err": max_err}
 
 

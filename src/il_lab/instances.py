@@ -8,8 +8,8 @@ State/action index conventions:
          seed (fixed indices would leak to index-biased learners).
   two_state_uniform / fan: action 0 is the expert ("green") action.
 
-make_mm_lb and make_bc_lb build each instance once: equal arguments of
-equal types return the same frozen (mdp, expert), from a bounded cache, so
+Every constructor builds each instance once: equal arguments of equal
+types return the same frozen (mdp, expert), from a bounded cache, so
 a grid's seeds share one instance per cell, and with it everything cached
 on that instance by identity (draw tables, the match LP, the expert's
 value)."""
@@ -102,6 +102,7 @@ def _bc_lb(num_states, H, num_actions, reset_key, seed):
     return mdp, deterministic_policy(np.tile(np.r_[good_action, 0], (H, 1)), A)
 
 
+@lru_cache(maxsize=INSTANCE_CACHE, typed=True)
 def make_two_state_uniform(H):
     """2-state vignette: action 0 mixes to Unif(S) from both states, action 1
     self-loops at state 1 (and aliases action 0 at state 0); reward 1 at
@@ -119,6 +120,7 @@ def make_two_state_uniform(H):
     return mdp, deterministic_policy(np.zeros((H, S), dtype=np.int64), A)
 
 
+@lru_cache(maxsize=INSTANCE_CACHE, typed=True)
 def make_fan(n, H):
     """n top-row states plus an absorbing sink. Action 0 ("green") mixes
     uniformly over the top row and pays 1; action 1 ("red") drops into the

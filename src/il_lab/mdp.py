@@ -88,10 +88,6 @@ class MarkovPolicy:
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
-    @property
-    def horizon(self):
-        return self.probs.shape[0]
-
 
 def deterministic_policy(actions, num_actions):
     """actions (H,S) integer table -> delta policy."""
@@ -129,10 +125,6 @@ class OccupancyMeasures:
             raise ValueError(f"{self.kind} layers must sum to 1 within {ROW_TOL}")
         d.flags.writeable = False
         object.__setattr__(self, "d", d)
-
-    @property
-    def horizon(self):
-        return self.d.shape[0]
 
 
 def _check_dims(mdp, policy):
@@ -346,15 +338,26 @@ _MDP_KINDS = {"horizon": int, "num_states": int, "num_actions": int,
 
 
 def mdp_from_json(doc):
+    """The mdp of an instance file. Each array must be nested exactly as the
+    header declares, rho (S,), transitions (H-1, S, A, S) and rewards
+    (H, S, A); a single-step mdp's transitions may also be [], as
+    mdp_to_json writes them. Any other nesting raises ValueError naming
+    both shapes, since a flat or transposed table can hold valid rows."""
     check_json(doc, _MDP_KINDS, "instance", required=_MDP_KINDS)
     H, S, A = doc["horizon"], doc["num_states"], doc["num_actions"]
-    return TabularMdp(
-        horizon=H, num_states=S, num_actions=A,
-        rho=np.array(doc["rho"], dtype=np.float64),
-        transitions=np.array(doc["transitions"],
-                             dtype=np.float64).reshape(H - 1, S, A, S),
-        rewards=np.array(doc["rewards"], dtype=np.float64),
-    )
+    if min(H, S, A) < 1:
+        raise ValueError("instance: horizon, num_states and num_actions "
+                         "must be positive")
+    arrays = {}
+    for key, shape in (("rho", (S,)), ("transitions", (H - 1, S, A, S)),
+                       ("rewards", (H, S, A))):
+        x = np.array(doc[key], dtype=np.float64)
+        if x.shape != shape and not (key == "transitions" and H == 1
+                                     and x.shape == (0,)):
+            raise ValueError(f"instance: {key} must have shape {shape}, "
+                             f"got {x.shape}")
+        arrays[key] = x.reshape(shape)
+    return TabularMdp(H, S, A, **arrays)
 
 
 def policy_to_json(policy):
@@ -364,14 +367,20 @@ def policy_to_json(policy):
 
 
 # The keys of a policy file, as policy_to_json writes them; only probs is
-# read.
+# required, and each dimension given must be that of probs.
 _POLICY_KINDS = {"horizon": int, "num_states": int, "num_actions": int,
                  "probs": np.ndarray}
 
 
 def policy_from_json(doc):
     check_json(doc, _POLICY_KINDS, "policy", required=("probs",))
-    return MarkovPolicy(np.array(doc["probs"], dtype=np.float64))
+    policy = MarkovPolicy(np.array(doc["probs"], dtype=np.float64))
+    for key, size in zip(("horizon", "num_states", "num_actions"),
+                         policy.probs.shape):
+        if doc.get(key, size) != size:
+            raise ValueError(f"policy: {key} is {doc[key]}, but probs has "
+                             f"shape {policy.probs.shape}")
+    return policy
 
 
 def save_json(obj, path):

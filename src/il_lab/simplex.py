@@ -100,7 +100,7 @@ def simplex(A, b, g, basis, first=None):
         T[:m, :n] = Binv @ A if BinvA is None else BinvA
         T[:m, n] = xb
         T[m, :n] = z
-        claimed, it = _iterate(T, basis, g, xn, lo, hi, up, down, STALL_LIMIT,
+        claimed, it = _iterate(T, basis, g, xn, lo, hi, up, down,
                                50 * n - total_it)
         total_it += it
         if not claimed:
@@ -108,11 +108,13 @@ def simplex(A, b, g, basis, first=None):
     return None, np.inf, "numeric-failure", total_it
 
 
-def _iterate(T, basis, g, xn, lo, hi, up, down, stall_limit, budget):
-    """Pivot or flip until the tableau prices out or the budget runs dry.
-    Returns (claimed_optimal, iterations); basis, xn, lo, hi, up and down
-    are updated in place. T must be C-contiguous; T[:m, :n] holds B^-1 A,
-    T[:m, n] the basic values and T[m, :n] the row z = c_B B^-1 A."""
+def _iterate(T, basis, g, xn, lo, hi, up, down, budget):
+    """Pivot or flip until the tableau prices out or the budget runs dry,
+    switching to Bland's rule once STALL_LIMIT iterations in a row have not
+    improved the objective. Returns (claimed_optimal, iterations); basis,
+    xn, lo, hi, up and down are updated in place. T must be C-contiguous;
+    T[:m, :n] holds B^-1 A, T[:m, n] the basic values and T[m, :n] the row
+    z = c_B B^-1 A."""
     if not T.flags.c_contiguous:
         raise ValueError("tableau must be C-contiguous")
     m, n = T.shape[0] - 1, T.shape[1] - 1
@@ -122,7 +124,7 @@ def _iterate(T, basis, g, xn, lo, hi, up, down, stall_limit, budget):
     r, fall = np.empty(n), np.empty(n)
     neg, num, ratios = np.empty(m), np.empty(m), np.empty(m)
     bland = False
-    stall = 0
+    stall, stall_limit = 0, STALL_LIMIT
     obj = last_obj = 0.0
     for it in range(max(budget, 1)):
         np.add(z, up, out=r)

@@ -21,6 +21,7 @@ def clear_caches():
 
     def clear():
         for cached in (instances.make_mm_lb, instances._bc_lb,
+                       instances.make_two_state_uniform, instances.make_fan,
                        mdp._arrival_tables, mdp._policy_tables,
                        matching.build_match_lp, matching.crash_factor,
                        harness._expert_value):

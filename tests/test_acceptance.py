@@ -67,7 +67,7 @@ def test_acceptance_9_structural_properties_hold(capsys):
 
 def test_run_rejects_unknown_ids():
     with pytest.raises(ValueError, match="valid ids are 1-9"):
-        acceptance.run(only={8, 42}, out=lambda line: None)
+        acceptance.run(only={8, 42})
 
 
 def test_flow_property_reports_lp_failure(monkeypatch):

@@ -659,6 +659,17 @@ def test_probe_events_prints_json(capsys):
     assert 0.0 <= rep["p_all"] <= 1.0
 
 
+def test_probe_events_has_a_fixed_e3_coefficient(capsys):
+    # E3's coefficient is the constant criteria 2 and 3 were frozen with.
+    with pytest.raises(SystemExit) as exc:
+        main(["probe-events", "--n-exp", "100", "--H", "4",
+              "--datasets", "150", "--coeff", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --coeff 0.5" in capsys.readouterr().err
+    main(["probe-events", "--n-exp", "100", "--H", "4", "--datasets", "150"])
+    assert json.loads(capsys.readouterr().out)["coeff"] == 0.5
+
+
 def test_verify_single_criterion(capsys):
     rc = main(["verify", "--only", "8"])
     out = capsys.readouterr().out

@@ -28,7 +28,7 @@ def test_sample_shapes_and_provenance():
     mdp, expert = make_mm_lb(4, 100)
     ds = sample_dataset(mdp, expert, 5, 7, "mm", "expert")
     assert ds.states.shape == (5, 4) and ds.actions.shape == (5, 4)
-    assert ds.n == 5 and len(ds) == 5 and ds.horizon == 4
+    assert ds.n == 5 and ds.horizon == 4
     assert ds.provenance == ("mm", "expert", 7)
 
 

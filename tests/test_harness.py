@@ -343,6 +343,13 @@ def test_conditional_gap_check_passes_on_conditioned_draws():
     assert out["max_abs_err"] <= 1e-9
 
 
+def test_conditional_gap_check_reports_inconclusive_when_none_conditions():
+    # One trajectory never shows both states at a step, so E1 never holds.
+    assert conditional_gap_check(1, 4, 100, seed=5) == {
+        "status": "inconclusive", "conditioning": 0, "expected_gap": 1.5,
+        "max_abs_err": 0.0}
+
+
 def test_conditional_gap_check_rejects_bad_horizon():
     with pytest.raises(ValueError, match="H >= 4"):
         conditional_gap_check(100, 3, 1000, seed=1)
@@ -466,3 +473,24 @@ def test_expert_value_is_computed_once_per_instance(clear_caches,
         run_cell({"family": "mm-lb"}, {"id": "bc"}, 4, 16, seed)
     assert len(calls) == 4
     assert sum(policy is expert for policy in calls) == 1
+
+
+@pytest.mark.parametrize("inst", [{"family": "fan", "states": 3},
+                                  {"family": "two-state"}],
+                         ids=["fan", "two-state"])
+def test_a_vignette_cell_builds_one_instance(inst, clear_caches,
+                                             monkeypatch):
+    # Every family is built once per distinct arguments, so a cell's seeds
+    # share one (mdp, expert) and one evaluation of the expert's value.
+    built, make = [], harness.make_instance
+
+    def recorded(*args):
+        built.append(make(*args))
+        return built[-1]
+    monkeypatch.setattr(harness, "make_instance", recorded)
+    cfg = ExperimentConfig(inst, {"id": "bc"}, {"H": [4], "n_exp": [16]},
+                           {"count": 3})
+    run_experiment(cfg)
+    assert len(built) == 3
+    assert all(b[1] is built[0][1] and b[2] is built[0][2] for b in built)
+    assert harness._expert_value.cache_info().misses == 1

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from il_lab.acceptance import random_mdp, random_policy
 from il_lab.harness import make_instance
-from il_lab.instances import make_mm_lb
+from il_lab.instances import make_bc_lb, make_mm_lb
 from il_lab.mdp import MarkovPolicy, OccupancyMeasures, TabularMdp, \
     check_json, deterministic_policy, exact_occupancy, l1_layer_distance, \
     mdp_from_json, mdp_to_json, policy_from_json, policy_to_json, \
@@ -402,3 +402,42 @@ def test_policy_json_round_trip():
     pol = random_policy(mix64(51), 3, 2, 4)
     back = policy_from_json(json.loads(json.dumps(policy_to_json(pol))))
     assert np.array_equal(back.probs, pol.probs)
+
+
+@pytest.mark.parametrize("key,nest", [
+    ("transitions", np.ravel), ("transitions", lambda P: P.swapaxes(0, 1)),
+    ("transitions", lambda P: P[:0].ravel()), ("rho", lambda r: r[:, None]),
+    ("rewards", np.ravel)],
+    ids=["transitions-flat", "transitions-misnested", "transitions-empty",
+         "rho-nested", "rewards-flat"])
+def test_instance_arrays_must_have_the_declared_nesting(key, nest):
+    # bc-lb S=4, H=4 transitions nested (S, H-1, A, S) have rows that sum
+    # to 1, so only the shape tells them from the (H-1, S, A, S) table.
+    mdp, _ = make_bc_lb(4, 4)
+    arr = getattr(mdp, key)
+    bad = nest(arr)
+    doc = {**mdp_to_json(mdp), key: bad.tolist()}
+    with pytest.raises(ValueError) as exc:
+        mdp_from_json(doc)
+    assert str(exc.value) == (f"instance: {key} must have shape "
+                              f"{arr.shape}, got {bad.shape}")
+
+
+@pytest.mark.parametrize("key", ["horizon", "num_states", "num_actions"])
+def test_instance_dimensions_must_be_positive(key):
+    doc = {**mdp_to_json(make_bc_lb(4, 4)[0]), key: 0}
+    with pytest.raises(ValueError, match="^instance: horizon, num_states "
+                       "and num_actions must be positive$"):
+        mdp_from_json(doc)
+
+
+@pytest.mark.parametrize("key,value", [("horizon", 99), ("num_states", 1),
+                                       ("num_actions", 7)])
+def test_policy_header_must_match_probs(key, value):
+    doc = policy_to_json(random_policy(mix64(52), 4, 2, 3))
+    with pytest.raises(ValueError) as exc:
+        policy_from_json({**doc, key: value})
+    assert str(exc.value) == (f"policy: {key} is {value}, but probs has "
+                              "shape (3, 4, 2)")
+    # The header is optional; probs alone gives the shape.
+    assert policy_from_json({"probs": doc["probs"]}).probs.shape == (3, 4, 2)

@@ -11,7 +11,7 @@ from il_lab.matching import CrashLp, MatchTarget, build_match_lp, \
 from il_lab.mdp import deterministic_policy, exact_occupancy
 from il_lab.rng import mix64
 import il_lab.simplex as simplex_module
-from il_lab.simplex import _PIVOT_MIN, STALL_LIMIT, TOL, _iterate, simplex
+from il_lab.simplex import _PIVOT_MIN, TOL, _iterate, simplex
 
 
 def slack_form(A_ub, b_ub):
@@ -133,10 +133,11 @@ def test_crash_that_prices_out_takes_no_iterations():
         assert np.abs(x - d0).max() <= 1e-10
 
 
-def dense_iterate(T, basis, g, xn, lo, hi, up, down, stall_limit, budget,
+def dense_iterate(T, basis, g, xn, lo, hi, up, down, budget, stall_limit,
                   events):
     """Reference breakpoint _iterate: per-variable pricing, a per-row ratio
-    test and the full rank-1 update on every pivot. Appends one (kind, bland)
+    test and the full rank-1 update on every pivot. Takes its stall limit as
+    an argument where _iterate reads STALL_LIMIT. Appends one (kind, bland)
     event per iteration."""
     m, n = T.shape[0] - 1, T.shape[1] - 1
     bland = False
@@ -240,12 +241,11 @@ def start(A, b, g, basis):
     return T, [np.zeros(n), lo, hi, up, np.full(n, -np.inf)]
 
 
-def pivot_path(iterate, A, b, g, basis, stall_limit, *events):
+def pivot_path(iterate, A, b, g, basis, *extra):
     T, state = start(A, b, g, basis)
     log = np.array(basis).view(PivotLog)
     log.log = []
-    claimed, it = iterate(T, log, g, *state, stall_limit, 50 * A.shape[1],
-                          *events)
+    claimed, it = iterate(T, log, g, *state, 50 * A.shape[1], *extra)
     return claimed, it, log.log, T, state
 
 
@@ -265,7 +265,7 @@ def test_iteration_cap_reports_failure_not_lies(monkeypatch):
     A, b, g, basis = tilted_match_lp(
         *make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7))
     T, state = start(A, b, g, basis)
-    out = _iterate(T, np.array(basis), g, *state, STALL_LIMIT, 1)
+    out = _iterate(T, np.array(basis), g, *state, 1)
     assert out == (False, 1)
     # simplex turns an exhausted 50 * n budget into a failure, not a point.
     monkeypatch.setattr(simplex_module, "_iterate",
@@ -275,7 +275,7 @@ def test_iteration_cap_reports_failure_not_lies(monkeypatch):
     assert it == 50 * A.shape[1]
 
 
-def test_sparse_update_follows_the_dense_pivot_path():
+def test_sparse_update_follows_the_dense_pivot_path(monkeypatch):
     lps = [tilted_match_lp(*make_mm_lb(8, 1024)),
            tilted_match_lp(*make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7))]
     # A zero right-hand side and a one-pivot stall limit force Bland's rule.
@@ -292,7 +292,8 @@ def test_sparse_update_follows_the_dense_pivot_path():
     for k, (A, b, g, basis) in enumerate(lps):
         for stall_limit in (200, 1):
             events = []
-            sparse = pivot_path(_iterate, A, b, g, basis, stall_limit)
+            monkeypatch.setattr(simplex_module, "STALL_LIMIT", stall_limit)
+            sparse = pivot_path(_iterate, A, b, g, basis)
             dense = pivot_path(dense_iterate, A, b, g, basis, stall_limit,
                                events)
             assert sparse[0] and dense[0], k
