@@ -26,10 +26,10 @@ from itertools import product
 import numpy as np
 
 from .datasets import SPLIT_KINDS, Dataset, SplitConfig, sample_dataset
-from .instances import (INSTANCE_CACHE, make_bc_lb, make_fan, make_mm_lb,
+from .instances import (make_bc_lb, make_fan, make_mm_lb,
                         make_two_state_uniform, geometric_reset)
 from .learners import bc_train, mm_train, re_train
-from .mdp import check_json, policy_value, rollout_batch
+from .mdp import INSTANCE_CACHE, check_json, policy_value, rollout_batch
 from .rng import mix64
 
 # E3's deviation coefficient: criteria 2 and 3 were frozen with this value.
@@ -234,9 +234,9 @@ def rows_to_csv(rows, path=None):
 
 def load_csv(path):
     """The rows of a rows_to_csv file; a missing column, a line with fewer
-    fields than the header, or a field that its column's type (int, float
-    or str, the ResultRow annotation) cannot read raises ValueError naming
-    the file, the line and the column."""
+    or more fields than the header, or a field that its column's type (int,
+    float or str, the ResultRow annotation) cannot read raises ValueError
+    naming the file, the line and the column."""
     with open(path) as fh:
         reader = csv.DictReader(fh)
         found = reader.fieldnames or ()
@@ -245,8 +245,11 @@ def load_csv(path):
             raise ValueError(f"{path}: missing columns {', '.join(missing)}")
         rows = []
         for rec in reader:
-            if None in rec.values():
-                raise ValueError(f"{path}: line {reader.line_num} has fewer "
+            # DictReader files missing fields as None values and extra
+            # ones under the key None.
+            if None in rec or None in rec.values():
+                which = "more" if None in rec else "fewer"
+                raise ValueError(f"{path}: line {reader.line_num} has {which} "
                                  "fields than the header")
             rows.append(ResultRow(**{f.name: _csv_field(f, rec, path,
                                                         reader.line_num)

@@ -18,12 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mdp import TabularMdp, deterministic_policy
+from .mdp import INSTANCE_CACHE, TabularMdp, deterministic_policy
 from .rng import mix64
-
-# Instances kept per constructor. A grid builds a few distinct instances
-# (one per (H, n_exp) cell at most), each once per seed.
-INSTANCE_CACHE = 32
 
 
 @lru_cache(maxsize=INSTANCE_CACHE, typed=True)

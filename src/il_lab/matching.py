@@ -16,16 +16,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import simplex as sx
-from .mdp import (MarkovPolicy, OccupancyMeasures, deterministic_policy,
-                  exact_occupancy)
+from .mdp import (INSTANCE_CACHE, MarkovPolicy, OccupancyMeasures,
+                  deterministic_policy, exact_occupancy)
 
 FLOW_TOL = 1e-8
 OBJ_TOL = 1e-8
 UNREACHABLE_MASS = 1e-12
 BRUTE_FORCE_CAP = 10**6
-# Match LPs, and their crash factors, kept per mdp. A grid cell matches on
-# one instance for every seed.
-LP_CACHE = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +56,7 @@ class LpSolution:
     iterations: int
 
 
-@lru_cache(maxsize=LP_CACHE)
+@lru_cache(maxsize=INSTANCE_CACHE)
 def build_match_lp(mdp):
     """Dense (A, b): one column per cell d_t(s,a), one row per flow
     constraint; H*S x H*S*A. Built once per mdp (the frozen mdp is the key)
@@ -92,7 +89,7 @@ class CrashLp:
     basis: list = field(compare=False)
 
 
-@lru_cache(maxsize=LP_CACHE)
+@lru_cache(maxsize=INSTANCE_CACHE)
 def crash_factor(lp):
     """(B0^-1, B0^-1 b, B0^-1 A) of the crash basis B0, the simplex's first
     round for every target: factored once per mdp and returned read-only."""

@@ -23,7 +23,9 @@ Dantzig pricing with a Bland fallback after a degenerate stall; iteration cap
 once and certifies it from the original data (basic values within their
 segments, no profitable direction); only when that fails does it build a
 tableau and iterate, so a crash that already prices out costs no tableau and
-accumulated drift cannot leak into results. The first round's factorization
+accumulated drift cannot leak into results. A round that ends with no
+iteration ends the solve as a numeric failure: the next round would factor
+the same basis and fail the same check. The first round's factorization
 (B^-1, B^-1 b, B^-1 A; see factor) does not depend on g, so a caller that
 solves many targets from one basis may supply it: matching factors its crash
 once per mdp. Every later round factors its own basis. The objective
@@ -34,9 +36,10 @@ Each pivot's rank-1 update touches only the tableau entries whose pivot-row
 and pivot-column factors are both nonzero (a few percent of the pivot row on
 the matching LPs). Every other entry would have had an exact zero subtracted,
 so skipping it changes at most the sign of a zero: the pivot path, basis and
-solution are those of the dense update. The loop keeps the segment ends of
-the basic variables by basis position and its pricing and ratios in buffers
-it allocates once, so an iteration gathers nothing by basis index."""
+solution are those of the dense update. The segment ends of the basic
+variables are kept once, by basis position, and the loop keeps its pricing
+and ratios in buffers it allocates once, so an iteration gathers nothing by
+basis index."""
 
 import numpy as np
 
@@ -67,7 +70,6 @@ def simplex(A, b, g, basis, first=None):
     g = np.asarray(g, dtype=np.float64)
     basis = np.array(basis)
     xn = np.zeros(n)  # nonbasic positions, 0 or g; 0 on the basis
-    lo, hi = np.zeros(n), np.full(n, np.inf)  # the segments of basic x
     up = np.where(g > 0.0, 1.0, -1.0)
     down = np.full(n, -np.inf)
     up[basis] = -np.inf  # basic x never enter
@@ -83,44 +85,44 @@ def simplex(A, b, g, basis, first=None):
             xb, BinvA = Binv @ (b - A @ xn), None
         xb = np.where(np.abs(xb) < 1e-11, 0.0, xb)
         if rnd == 0:
+            # The segment of basis[i] is [lob[i], hib[i]], kept by basis
+            # position.
             below = xb < g[basis]
-            lo[basis] = np.where(below, 0.0, g[basis])
-            hi[basis] = np.where(below, g[basis], np.inf)
+            lob = np.where(below, 0.0, g[basis])
+            hib = np.where(below, g[basis], np.inf)
         # Duals from the basic slopes: -1 on [0, g], +1 on [g, inf).
-        y = np.where(hi[basis] < np.inf, -1.0, 1.0) @ Binv
+        y = np.where(hib < np.inf, -1.0, 1.0) @ Binv
         z = y @ A
         if (np.maximum(z + up, down - z).max() <= 10 * TOL
-                and (xb - lo[basis]).min() >= -1e-9
-                and (xb - hi[basis]).max() <= 1e-9):
+                and (xb - lob).min() >= -1e-9
+                and (xb - hib).max() <= 1e-9):
             x = xn.copy()
-            x[basis] = np.clip(xb, lo[basis], hi[basis])
+            x[basis] = np.clip(xb, lob, hib)
             bound = float(b @ y + g @ np.minimum(1.0, -z))
             return x, bound, "optimal", total_it
         T = np.zeros((m + 1, n + 1))
         T[:m, :n] = Binv @ A if BinvA is None else BinvA
         T[:m, n] = xb
         T[m, :n] = z
-        claimed, it = _iterate(T, basis, g, xn, lo, hi, up, down,
+        claimed, it = _iterate(T, basis, g, xn, lob, hib, up, down,
                                50 * n - total_it)
         total_it += it
-        if not claimed:
+        if not claimed or it == 0:
             return None, np.inf, "numeric-failure", total_it
     return None, np.inf, "numeric-failure", total_it
 
 
-def _iterate(T, basis, g, xn, lo, hi, up, down, budget):
+def _iterate(T, basis, g, xn, lob, hib, up, down, budget):
     """Pivot or flip until the tableau prices out or the budget runs dry,
     switching to Bland's rule once STALL_LIMIT iterations in a row have not
     improved the objective. Returns (claimed_optimal, iterations); basis,
-    xn, lo, hi, up and down are updated in place. T must be C-contiguous;
-    T[:m, :n] holds B^-1 A, T[:m, n] the basic values and T[m, :n] the row
-    z = c_B B^-1 A."""
+    xn, the segments [lob[i], hib[i]] of the basic basis[i], up and down
+    are updated in place. T must be C-contiguous; T[:m, :n] holds B^-1 A,
+    T[:m, n] the basic values and T[m, :n] the row z = c_B B^-1 A."""
     if not T.flags.c_contiguous:
         raise ValueError("tableau must be C-contiguous")
     m, n = T.shape[0] - 1, T.shape[1] - 1
     flat, z, xb = T.reshape(-1), T[m, :n], T[:m, n]
-    # The segment of basis[i] is [lob[i], hib[i]], kept by basis position.
-    lob, hib = lo[basis], hi[basis]
     r, fall = np.empty(n), np.empty(n)
     neg, num, ratios = np.empty(m), np.empty(m), np.empty(m)
     bland = False
@@ -173,7 +175,7 @@ def _iterate(T, basis, g, xn, lo, hi, up, down, budget):
             up[leave], down[leave] = _offsets(x, g.item(leave))
             xn[j] = 0.0
             seg = (gj, np.inf) if cj > 0 else (0.0, gj)
-            lo[j], hi[j] = lob[p], hib[p] = seg
+            lob[p], hib[p] = seg
             up[j] = down[j] = -np.inf
             piv = T[p, :n] / T[p, j]
             rows, cols = col.nonzero()[0], piv.nonzero()[0]

@@ -2,7 +2,8 @@
 them bit for bit: categorical is one inverse-CDF draw by float comparison,
 rollout one trajectory drawn step by step on its own hashes, and
 perturb_policy the rowwise mixture the instance tests build policies with.
-Nothing in the library calls them."""
+bc_lb_expected_gap is an exact expectation that seed means are checked
+against. Nothing in the library calls them."""
 
 from dataclasses import dataclass
 
@@ -78,3 +79,19 @@ def perturb_policy(policy, gamma, deviation):
     if policy.probs.shape != deviation.probs.shape:
         raise ValueError("policy/deviation dimension mismatch")
     return MarkovPolicy((1.0 - gamma) * policy.probs + gamma * deviation.probs)
+
+
+def bc_lb_expected_gap(rho, num_actions, H, n):
+    """Exact E[gap] of bc trained on n expert trajectories of a bc-lb
+    instance with reset (and initial) distribution rho. Every expert step
+    resets into rho, so the states at each step are i.i.d. rho across
+    trajectories and independent across steps. bc plays the expert action
+    on every seen (s, t) and the uniform row elsewhere, which falls into the
+    bad state with probability c = 1 - 1/A. With M_t the mass of the states
+    unseen at step t, J = sum_{k=1..H} prod_{t<k} (1 - c M_t); the M_t are
+    independent with mean mu = sum_s rho_s (1 - rho_s)^n, so
+    E[gap] = H - sum_{k=1..H} (1 - c mu)^k."""
+    rho = np.asarray(rho, dtype=np.float64)
+    mu = float(np.sum(rho * (1.0 - rho) ** n))
+    c = 1.0 - 1.0 / num_actions
+    return H - sum((1.0 - c * mu) ** k for k in range(1, H + 1))

@@ -1,13 +1,16 @@
 """The clear_caches fixture empties every cache in the library: every
 function that src/il_lab decorates with functools.lru_cache or cache, no
 more and no fewer. A cache it missed would stay warm in the tests that
-compare cold and warm runs."""
+compare cold and warm runs. Every cache holds mdp.INSTANCE_CACHE entries,
+named as such: one size for every per-instance cache."""
 
 import ast
 import importlib
 from pathlib import Path
 
 import pytest
+
+from il_lab import mdp
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "il_lab"
 CACHE_DECORATORS = {"lru_cache", "cache"}
@@ -34,6 +37,19 @@ def cached_functions(tree):
                                  "module level")
             names.append(node.name)
     return names
+
+
+def cache_sizes(tree):
+    """The maxsize argument of each cache decorator of a module, as source
+    text; None where the decorator gives none."""
+    sizes = []
+    for node in ast.walk(tree):
+        for d in getattr(node, "decorator_list", ()):
+            if _is_cache(d):
+                given = [k.value for k in getattr(d, "keywords", ())
+                         if k.arg == "maxsize"] + list(getattr(d, "args", ()))
+                sizes.append(ast.unparse(given[0]) if given else None)
+    return sizes
 
 
 def library_caches():
@@ -65,6 +81,19 @@ def test_the_fixture_clears_every_cache_and_nothing_else(clear_caches,
     clear_caches()
     assert sorted(map(full_name, cleared)) == \
         sorted(map(full_name, library_caches()))
+
+
+def test_every_cache_has_the_one_instance_cache_size():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert set(cache_sizes(tree)) <= {"INSTANCE_CACHE"}, path.name
+    for fn in library_caches():
+        assert fn.cache_parameters()["maxsize"] == mdp.INSTANCE_CACHE, \
+            full_name(fn)
+    assert cache_sizes(ast.parse(
+        "@lru_cache(maxsize=LP_CACHE)\ndef a(x): pass\n@functools.cache\n"
+        "def b(x): pass\n@lru_cache(16)\ndef c(x): pass\n")) == \
+        ["LP_CACHE", None, "16"]
 
 
 def test_every_decorator_spelling_is_found():

@@ -360,13 +360,16 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
     ("csv", CSV_HEADER + "\nsyn,syn,4,2\n",
      "fit: {path}: line 2 has fewer fields than the header"),
     ("csv", CSV_HEADER + "\nsyn,syn,4,2,2,10,0,0.5,ok,syn,0.000"
+     "\nsyn,syn,4,2,2,10,0,0.5,ok,syn,0.000,extra,more\n",
+     "fit: {path}: line 3 has more fields than the header"),
+    ("csv", CSV_HEADER + "\nsyn,syn,4,2,2,10,0,0.5,ok,syn,0.000"
      "\nsyn,syn,x,2,2,10,0,0.5,ok,syn,0.000\n",
      "fit: {path}: line 3: column H must be int, got 'x'"),
     ("csv", CSV_HEADER + "\nsyn,syn,4,2,2,10,0,half,ok,syn,0.000\n",
      "fit: {path}: line 2: column gap must be float, got 'half'"),
 ], ids=["instance-keys", "instance-list", "policy-keys", "dataset-keys",
-        "dataset-list", "csv-columns", "csv-short-line", "csv-int-field",
-        "csv-float-field"])
+        "dataset-list", "csv-columns", "csv-short-line", "csv-long-line",
+        "csv-int-field", "csv-float-field"])
 def test_malformed_files_end_in_a_message(tmp_path, kind, text, message):
     # A file that parses but lacks what its reader needs is rejected by
     # name, not with a KeyError or TypeError traceback.

@@ -5,6 +5,7 @@ import pytest
 
 from il_lab.datasets import Dataset, SplitConfig, empirical_occupancy, \
     sample_dataset, split
+from il_lab.harness import ExperimentConfig, make_instance, run_experiment
 from il_lab.instances import geometric_reset, make_bc_lb, make_mm_lb, \
     make_two_state_uniform
 from il_lab.learners import MembershipOracle, _prefix_weights_batch, \
@@ -13,6 +14,8 @@ from il_lab.learners import MembershipOracle, _prefix_weights_batch, \
 from il_lab.matching import MatchTarget
 from il_lab.mdp import exact_occupancy, l1_layer_distance, policy_value
 from il_lab.rng import mix64
+
+from oracles import bc_lb_expected_gap
 
 
 def tiny_dataset(rows):
@@ -60,6 +63,25 @@ def test_bc_is_time_inhomogeneous():
     pol = bc_train(ds, 1, 2, 2)
     assert pol.probs[0, 0].tolist() == [1.0, 0.0]
     assert pol.probs[1, 0].tolist() == [0.0, 1.0]
+
+
+def test_bc_mean_gap_matches_the_exact_expectation():
+    # bc-lb S=16, geometric reset, construction seed 7, H=8, N=1024: 400
+    # seeds' mean gap (0.025145) against the closed form (0.024752), with
+    # z = +1.09 standard errors. A biased sampler, tie rule or value
+    # recursion moves the mean by many standard errors; |z| <= 4 is the
+    # bound.
+    inst = {"family": "bc-lb", "states": 16, "reset": "geometric",
+            "construction_seed": 7}
+    rows = run_experiment(ExperimentConfig(
+        inst, {"id": "bc"}, {"H": [8], "n_exp": [1024]},
+        {"count": 400, "base": 9}))
+    gaps = np.array([row.gap for row in rows])
+    mdp = make_instance(inst, 8, 1024, 0)[1]
+    exact = bc_lb_expected_gap(mdp.rho, mdp.num_actions, 8, 1024)
+    assert exact == pytest.approx(0.024752, abs=1e-6)
+    z = (gaps.mean() - exact) / (gaps.std(ddof=1) / np.sqrt(gaps.size))
+    assert abs(z) <= 4.0, (gaps.mean(), exact, z)
 
 
 # --------------------------------------------------------------------- mm

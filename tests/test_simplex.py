@@ -11,7 +11,7 @@ from il_lab.matching import CrashLp, MatchTarget, build_match_lp, \
 from il_lab.mdp import deterministic_policy, exact_occupancy
 from il_lab.rng import mix64
 import il_lab.simplex as simplex_module
-from il_lab.simplex import _PIVOT_MIN, TOL, _iterate, simplex
+from il_lab.simplex import _MAX_ROUNDS, _PIVOT_MIN, TOL, _iterate, simplex
 
 
 def slack_form(A_ub, b_ub):
@@ -242,11 +242,16 @@ def start(A, b, g, basis):
 
 
 def pivot_path(iterate, A, b, g, basis, *extra):
+    """Runs iterate from the first round's state. _iterate takes the basic
+    segments by basis position and dense_iterate by variable; the state
+    returned is the one iterate updated, and the basis it ended on."""
     T, state = start(A, b, g, basis)
+    if iterate is _iterate:
+        state[1:3] = state[1][basis], state[2][basis]
     log = np.array(basis).view(PivotLog)
     log.log = []
     claimed, it = iterate(T, log, g, *state, 50 * A.shape[1], *extra)
-    return claimed, it, log.log, T, state
+    return claimed, it, log.log, T, state, np.asarray(log)
 
 
 def tilted_match_lp(mdp, expert):
@@ -264,8 +269,9 @@ def test_iteration_cap_reports_failure_not_lies(monkeypatch):
     # its budget without claiming optimality.
     A, b, g, basis = tilted_match_lp(
         *make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7))
-    T, state = start(A, b, g, basis)
-    out = _iterate(T, np.array(basis), g, *state, 1)
+    T, (xn, lo, hi, up, down) = start(A, b, g, basis)
+    out = _iterate(T, np.array(basis), g, xn, lo[basis], hi[basis], up,
+                   down, 1)
     assert out == (False, 1)
     # simplex turns an exhausted 50 * n budget into a failure, not a point.
     monkeypatch.setattr(simplex_module, "_iterate",
@@ -273,6 +279,20 @@ def test_iteration_cap_reports_failure_not_lies(monkeypatch):
     x, obj, status, it = simplex(A, b, g, basis)
     assert (x, obj, status) == (None, np.inf, "numeric-failure")
     assert it == 50 * A.shape[1]
+
+
+def test_the_round_cap_ends_a_solve_that_keeps_iterating(monkeypatch):
+    # An _iterate that claims an optimum after one iteration and changes
+    # nothing: every round's certificate fails on the tilted bc-lb LP, and
+    # the loop gives up after _MAX_ROUNDS rounds.
+    A, b, g, basis = tilted_match_lp(
+        *make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7))
+    rounds = []
+    monkeypatch.setattr(simplex_module, "_iterate",
+                        lambda *args: rounds.append(args) or (True, 1))
+    x, obj, status, it = simplex(A, b, g, basis)
+    assert (x, obj, status) == (None, np.inf, "numeric-failure")
+    assert it == len(rounds) == _MAX_ROUNDS == 20
 
 
 def test_sparse_update_follows_the_dense_pivot_path(monkeypatch):
@@ -302,7 +322,11 @@ def test_sparse_update_follows_the_dense_pivot_path(monkeypatch):
             assert len(sparse[2]) > 0
             # Equal up to the sign of zeros, so bit for bit otherwise.
             assert np.array_equal(sparse[3], dense[3]), (k, stall_limit)
-            for got, want in zip(sparse[4], dense[4]):
+            # The dense reference keeps the segments by variable.
+            xn, lo, hi, up, down = dense[4]
+            final = dense[5]
+            for got, want in zip(sparse[4], (xn, lo[final], hi[final], up,
+                                             down)):
                 assert np.array_equal(got, want), (k, stall_limit)
             paths[k, stall_limit] = sparse[2], events
     # Both matching LPs flip: iterations that changed no basis column.
@@ -384,3 +408,19 @@ def test_a_backward_ratio_step_still_reaches_the_optimum(monkeypatch):
     x, obj, status, it = simplex(A, b, g, basis)
     assert status == "optimal", (status, it)
     assert abs(obj - l1_reference(A, b, g, tol=1e-10)) <= 1e-12
+
+
+def test_a_round_that_moves_nothing_ends_the_solve(monkeypatch):
+    # The same repro: the round after the crash claims an optimum after 62
+    # iterations that the certificate then rejects. The next round factors
+    # that basis, prices out with no iteration and fails the same check, so
+    # the solve ends there: one factorization after the crash round.
+    calls = matching_solves(monkeypatch)
+    run_cell(BC_LB, {"id": "re"}, 4, 16384, mix64(9, 0, 77))
+    (args,) = calls
+    inv, factored = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda B: factored.append(B) or inv(B))
+    x, obj, status, it = simplex(*args)
+    assert (x, obj, status, it) == (None, np.inf, "numeric-failure", 62)
+    assert len(factored) == 1
