@@ -168,13 +168,14 @@ def build_parser():
 
 
 def main(argv=None):
-    """Runs one command; a ValueError (bad input) or an OSError (say, a
-    missing file) it raises ends the run with "<command>: <message>" instead
-    of a traceback."""
+    """Runs one command; a ValueError (bad input), an OSError (say, a
+    missing file) or a RuntimeError (a numeric failure, such as an occupancy
+    match that fails) it raises ends the run with "<command>: <message>"
+    instead of a traceback."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         raise SystemExit(f"{args.command}: {exc}") from None
 
 

@@ -19,18 +19,24 @@ piecewise-linear programming I, Math. Prog. 33):
   change and no tableau update. A flip counts as an iteration.
 
 Dantzig pricing with a Bland fallback after a degenerate stall; iteration cap
-50 * #variables; reduced-cost tolerance 1e-9. Each round factors the basis
-once and certifies it from the original data (basic values within their
-segments, no profitable direction); only when that fails does it build a
-tableau and iterate, so a crash that already prices out costs no tableau and
-accumulated drift cannot leak into results. A round that ends with no
-iteration ends the solve as a numeric failure: the next round would factor
-the same basis and fail the same check. The first round's factorization
-(B^-1, B^-1 b, B^-1 A; see factor) does not depend on g, so a caller that
-solves many targets from one basis may supply it: matching factors its crash
-once per mdp. Every later round factors its own basis. The objective
-returned is the certificate's dual bound b.y + sum_j g_j min(1, -z_j). Never
-reports "optimal" without that certificate.
+50 * #variables; reduced-cost tolerance 1e-9. Each round certifies its basis
+from the original data (basic values within their segments, no profitable
+direction); only when that fails does it build a tableau and iterate, so a
+crash that already prices out costs no tableau and accumulated drift cannot
+leak into results. A round that ends with no iteration ends the solve as a
+numeric failure: the next round would take the same basis and fail the same
+check. The first round works from the start basis B0's factorization
+(B0^-1, B0^-1 b, B0^-1 A; see factor), which does not depend on g, so a
+caller that solves many targets from one basis may supply it: matching
+factors its crash once per mdp. Every later round reads its basis B off the
+last tableau, whose B0 columns hold C = B^-1 B0, so B^-1 = C B0^-1: its
+basic values are C B0^-1 (b - A xn) plus one refinement step against the
+original (A, b), its duals (c_B C) B0^-1 and its tableau C (B0^-1 A). That
+is matrix products alone: LAPACK runs only in factor, once per start basis,
+so a solve's bytes do not move with the BLAS thread count (a 128 x 128
+inverse's did). The objective returned is the certificate's dual bound
+b.y + sum_j g_j min(1, -z_j). Never reports "optimal" without that
+certificate.
 
 Each pivot's rank-1 update touches only the tableau entries whose pivot-row
 and pivot-column factors are both nonzero (a few percent of the pivot row on
@@ -64,34 +70,40 @@ def simplex(A, b, g, basis, first=None):
     """Returns (x, objective, status, iterations) with status in
     {"optimal", "numeric-failure"}; objective is the certificate's dual bound.
     basis must index a basis that is feasible with every nonbasic x at 0.
-    first, if given, is factor(A, b, basis), which the first round then
-    takes instead of factoring the basis itself."""
+    first, if given, is factor(A, b, basis); without it the solve factors
+    the basis itself."""
     m, n = A.shape
     g = np.asarray(g, dtype=np.float64)
     basis = np.array(basis)
+    crash = basis.copy()
+    if first is None:
+        try:
+            first = factor(A, b, basis)
+        except np.linalg.LinAlgError:
+            return None, np.inf, "numeric-failure", 0
+    B0inv, xb, B0invA = first
     xn = np.zeros(n)  # nonbasic positions, 0 or g; 0 on the basis
     up = np.where(g > 0.0, 1.0, -1.0)
     down = np.full(n, -np.inf)
     up[basis] = -np.inf  # basic x never enter
     total_it = 0
-    for rnd in range(_MAX_ROUNDS):
-        if rnd == 0 and first is not None:
-            Binv, xb, BinvA = first
-        else:
-            try:
-                Binv = np.linalg.inv(A[:, basis])
-            except np.linalg.LinAlgError:
-                return None, np.inf, "numeric-failure", total_it
-            xb, BinvA = Binv @ (b - A @ xn), None
+    C = None  # B^-1 B0 once a round has pivoted; before that B = B0
+    for _ in range(_MAX_ROUNDS):
+        if C is not None:
+            # B^-1 = C B0^-1; one refinement step from the original data.
+            rhs = b - A @ xn
+            xb = C @ (B0inv @ rhs)
+            xb += C @ (B0inv @ (rhs - A[:, basis] @ xb))
         xb = np.where(np.abs(xb) < 1e-11, 0.0, xb)
-        if rnd == 0:
+        if C is None:
             # The segment of basis[i] is [lob[i], hib[i]], kept by basis
             # position.
             below = xb < g[basis]
             lob = np.where(below, 0.0, g[basis])
             hib = np.where(below, g[basis], np.inf)
         # Duals from the basic slopes: -1 on [0, g], +1 on [g, inf).
-        y = np.where(hib < np.inf, -1.0, 1.0) @ Binv
+        cb = np.where(hib < np.inf, -1.0, 1.0)
+        y = (cb if C is None else cb @ C) @ B0inv
         z = y @ A
         if (np.maximum(z + up, down - z).max() <= 10 * TOL
                 and (xb - lob).min() >= -1e-9
@@ -101,7 +113,7 @@ def simplex(A, b, g, basis, first=None):
             bound = float(b @ y + g @ np.minimum(1.0, -z))
             return x, bound, "optimal", total_it
         T = np.zeros((m + 1, n + 1))
-        T[:m, :n] = Binv @ A if BinvA is None else BinvA
+        T[:m, :n] = B0invA if C is None else C @ B0invA
         T[:m, n] = xb
         T[m, :n] = z
         claimed, it = _iterate(T, basis, g, xn, lob, hib, up, down,
@@ -109,6 +121,7 @@ def simplex(A, b, g, basis, first=None):
         total_it += it
         if not claimed or it == 0:
             return None, np.inf, "numeric-failure", total_it
+        C = T[:m, crash]  # the crash columns of B^-1 A
     return None, np.inf, "numeric-failure", total_it
 
 

@@ -36,6 +36,15 @@ def gen_dataset(tmp_path, prefix, n=64, seed=3):
     return out
 
 
+def run_cli(argv):
+    """Runs il-lab in a subprocess, so its exit code and stderr are the
+    ones a shell sees."""
+    env = {**os.environ, "PYTHONPATH": str(Path(il_lab.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "il_lab.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 def test_gen_instance_writes_loadable_pair(tmp_path, capsys):
     prefix = gen_instance(tmp_path)
     mdp = mdp_from_json(load_json(f"{prefix}.mdp.json"))
@@ -174,6 +183,26 @@ def test_train_re_config_from_file(tmp_path):
                           learned.probs)
 
 
+def test_a_failed_match_ends_in_a_message(tmp_path):
+    # bc-lb S=16, H=4, N=16384: on this dataset and split the occupancy
+    # match ends in numeric-failure (ROADMAP item 1), and train says so in
+    # one line instead of a traceback, writing no policy.
+    prefix = tmp_path / "inst"
+    assert main(["gen-instance", "--config",
+                 '{"family": "bc-lb", "states": 16, "reset": "geometric", '
+                 '"construction_seed": 7}', "--H", "4", "--n-exp", "16384",
+                 "--out", str(prefix)]) == 0
+    data = gen_dataset(tmp_path, prefix, n=16384, seed=8483448809969179908)
+    out = tmp_path / "re.policy.json"
+    argv = ["train", "--learner", "re", "--instance", f"{prefix}.mdp.json",
+            "--dataset", str(data), "--config",
+            '{"split_seed": 9270365642898747282}', "--out", str(out)]
+    done = run_cli(argv)
+    assert done.returncode == 1
+    assert done.stderr == "train: occupancy match failed: numeric-failure\n"
+    assert not out.exists()
+
+
 def test_bad_input_ends_in_a_message(tmp_path):
     prefix = gen_instance(tmp_path)
     data = gen_dataset(tmp_path, prefix)
@@ -298,10 +327,7 @@ def test_deeply_nested_json_ends_in_a_message(tmp_path):
     assert not (tmp_path / "d.jsonl").exists()
     assert not (tmp_path / "p.json").exists()
     argv = gen + ["--instance", str(deep), "--policy", str(deep)]
-    env = {**os.environ, "PYTHONPATH": str(Path(il_lab.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "il_lab.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
+    done = run_cli(argv)
     assert done.returncode == 1
     assert done.stderr == f"gen-dataset: {deep}: {nested}\n"
 
@@ -313,10 +339,7 @@ def test_a_json_syntax_error_names_its_file(tmp_path):
     broken.write_text('{"horizon": 4,')
     argv = ["gen-dataset", "--instance", f"{prefix}.mdp.json", "--policy",
             str(broken), "--n", "4", "--out", str(tmp_path / "d.jsonl")]
-    env = {**os.environ, "PYTHONPATH": str(Path(il_lab.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "il_lab.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
+    done = run_cli(argv)
     assert done.returncode == 1
     assert done.stderr == (f"gen-dataset: {broken}: Expecting property name "
                            "enclosed in double quotes: line 1 column 15 "
@@ -861,10 +884,7 @@ def test_arrays_of_the_wrong_kind_exit_with_a_message(tmp_path, reader, key,
     # numbers.
     what, read = JSON_READERS[reader]
     argv = read(tmp_path, key, value, cli=True)
-    env = {**os.environ, "PYTHONPATH": str(Path(il_lab.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "il_lab.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
+    done = run_cli(argv)
     assert done.returncode == 1
     assert done.stderr == (f"{argv[0]}: {what}: {key} must be {kind}, got "
                            f"{json.dumps(value)}\n")

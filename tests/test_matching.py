@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import il_lab
 
 from il_lab.acceptance import random_mdp, random_policy, random_target
 from il_lab.datasets import SplitConfig, empirical_occupancy, \
@@ -247,3 +253,49 @@ def test_scaled_down_target_is_fully_covered():
     pol = extract_policy(sol.occupancies, mdp)
     reach = sol.occupancies.d.sum(axis=2) > 1e-9
     assert np.all(pol.probs[:, :, 0][reach] >= 2.0 / 3.0 - 1e-8)
+
+
+# The mm and re solves of 60 bc-lb S=16, H=8, N=1024 datasets: 120 LPs with
+# m = 128 rows, hashed by their x bytes, bound, status and iterations.
+THREAD_PROBE = """
+import hashlib
+import il_lab.simplex as sx
+from il_lab.datasets import sample_dataset
+from il_lab.harness import make_instance, train
+from il_lab.rng import mix64
+
+h, solve, solves = hashlib.blake2b(), sx.simplex, []
+
+def hashed(*args):
+    x, bound, status, it = out = solve(*args)
+    h.update(x.tobytes() + repr((bound, status, it)).encode())
+    solves.append(it)
+    return out
+
+sx.simplex = hashed
+_, mdp, expert = make_instance({"family": "bc-lb", "states": 16,
+                                "reset": "geometric",
+                                "construction_seed": 7}, 8, 1024, 0)
+for i in range(60):
+    ds = sample_dataset(mdp, expert, 1024, mix64(99, i, 1))
+    train("mm", {}, ds, mdp)
+    train("re", {"split_seed": mix64(99, i, 2)}, ds, mdp)
+print(len(solves), sum(it > 0 for it in solves), h.hexdigest())
+"""
+
+
+def test_match_bytes_do_not_depend_on_the_blas_thread_count():
+    # LAPACK's inverse of a 128 x 128 basis can round differently on one
+    # BLAS thread and on two. The solve inverts only its crash basis, once
+    # per mdp, which rounds the same on both, and every later round reads
+    # its basis off the tableau.
+    env = {**os.environ, "PYTHONPATH": str(Path(il_lab.__file__).parents[1])}
+    out = []
+    for threads in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", THREAD_PROBE],
+                              capture_output=True, text=True, timeout=300,
+                              env={**env, "OPENBLAS_NUM_THREADS": threads})
+        assert done.returncode == 0, done.stderr
+        out.append(done.stdout.split())
+    assert out[0][:2] == ["120", "120"]
+    assert out[0] == out[1]

@@ -410,17 +410,51 @@ def test_a_backward_ratio_step_still_reaches_the_optimum(monkeypatch):
     assert abs(obj - l1_reference(A, b, g, tol=1e-10)) <= 1e-12
 
 
+def inverses(monkeypatch):
+    """The matrices np.linalg.inv is called on from now on."""
+    inv, calls = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda B: calls.append(B) or inv(B))
+    return calls
+
+
+def iterate_rounds(monkeypatch):
+    """What every _iterate round returns from now on."""
+    real, rounds = simplex_module._iterate, []
+    monkeypatch.setattr(simplex_module, "_iterate",
+                        lambda *args: rounds.append(real(*args)) or rounds[-1])
+    return rounds
+
+
 def test_a_round_that_moves_nothing_ends_the_solve(monkeypatch):
     # The same repro: the round after the crash claims an optimum after 62
-    # iterations that the certificate then rejects. The next round factors
-    # that basis, prices out with no iteration and fails the same check, so
-    # the solve ends there: one factorization after the crash round.
+    # iterations that the certificate then rejects. The next round reads
+    # that basis off the tableau, prices out with no iteration and fails
+    # the same check, so the solve ends there, with no inverse taken after
+    # the crash factor.
     calls = matching_solves(monkeypatch)
     run_cell(BC_LB, {"id": "re"}, 4, 16384, mix64(9, 0, 77))
     (args,) = calls
-    inv, factored = np.linalg.inv, []
-    monkeypatch.setattr(np.linalg, "inv",
-                        lambda B: factored.append(B) or inv(B))
+    inverted, rounds = inverses(monkeypatch), iterate_rounds(monkeypatch)
     x, obj, status, it = simplex(*args)
     assert (x, obj, status, it) == (None, np.inf, "numeric-failure", 62)
-    assert len(factored) == 1
+    assert rounds == [(True, 62), (True, 0)]
+    assert inverted == []
+
+
+def test_a_solve_on_a_warm_crash_cache_inverts_nothing(clear_caches,
+                                                       monkeypatch):
+    # bc-lb S=16, H=8: the first cell factors the crash, once. The later
+    # cells pivot and certify their last round from the tableau, so no
+    # solve of theirs takes an inverse.
+    inverted = inverses(monkeypatch)
+    assert run_cell(BC_LB, {"id": "mm"}, 8, 1024, mix64(17, 0)).status == "ok"
+    assert len(inverted) == 1
+    inverted.clear()
+    rounds = iterate_rounds(monkeypatch)
+    for lid in ("mm", "re"):
+        for i in range(1, 4):
+            row = run_cell(BC_LB, {"id": lid}, 8, 1024, mix64(17, i))
+            assert row.status == "ok"
+    assert sum(it > 0 for _, it in rounds) >= 4
+    assert inverted == []
