@@ -21,7 +21,8 @@ class Dataset:
     splits. The constructor, and so load_dataset, stores int64; the
     sampler's arrays are adopted in their narrow dtype (rollout_batch), and
     subsets and splits keep the dtype they gather from. Code that forms an
-    index product such as s * A + a from them does so in intp or int64."""
+    index product such as s * A + a from them does so in a dtype that
+    holds it."""
 
     states: np.ndarray
     actions: np.ndarray
@@ -101,26 +102,39 @@ def empirical_occupancy(dataset, S, A):
     """d_t(s,a) = count(s,a at step t) / n; layers sum to 1 exactly."""
     if dataset.n == 0:
         raise ValueError("empty dataset")
-    if dataset.states.max() >= S or dataset.actions.max() >= A:
-        raise ValueError("dataset indices exceed (S,A)")
     counts = cell_sums(dataset.states, dataset.actions, S, A)
     return OccupancyMeasures(counts / dataset.n, "empirical")
 
 
 def cell_sums(states, actions, S, A, weights=None):
     """(H,S,A) sums over the steps of (n,H) states/actions that fall in each
-    (t, s, a) cell: step counts, or the sums of an (n,H) weights array. One
-    bincount per step over its (s, a) index, formed in intp, so the
-    weights of a cell add in increasing trajectory index, whatever the
-    layout and the index dtype."""
+    (t, s, a) cell: step counts, or the sums of an (n,H) weights array.
+    Raises ValueError on a state index >= S or an action index >= A, which
+    would land in another state's cells. One bincount per step over its
+    (s, a) index, formed in the narrowest signed dtype that holds S * A and
+    the indices (the rule of rollout_batch), so the weights of a cell add
+    in increasing trajectory index, whatever the layout and the index
+    dtype."""
+    _check_index("state", states, S)
+    _check_index("action", actions, A)
     H = states.shape[1]
+    dtype = np.promote_types(np.min_scalar_type(-(S * A)), states.dtype)
     out = np.empty((H, S * A), np.int64 if weights is None else np.float64)
     for t in range(H):
-        idx = np.multiply(states[:, t], A, dtype=np.intp)
+        idx = np.multiply(states[:, t], A, dtype=dtype)
         idx += actions[:, t]
         out[t] = np.bincount(idx, None if weights is None else weights[:, t],
                              S * A)
     return out.reshape(H, S, A)
+
+
+def _check_index(name, arr, size):
+    """Raise ValueError, naming the largest index and its bound, unless
+    every index in arr is below size (a Dataset holds no negative one)."""
+    top = arr.max(initial=-1)
+    if top >= size:
+        raise ValueError(f"dataset {name} index {top} is outside the "
+                         f"instance's {size} {name}s")
 
 
 def check_dataset(dataset, mdp):
@@ -129,12 +143,8 @@ def check_dataset(dataset, mdp):
     if dataset.horizon != mdp.horizon:
         raise ValueError(f"dataset horizon {dataset.horizon} does not match "
                          f"the instance horizon {mdp.horizon}")
-    for name, arr, size in (("state", dataset.states, mdp.num_states),
-                            ("action", dataset.actions, mdp.num_actions)):
-        top = arr.max(initial=-1)
-        if top >= size:
-            raise ValueError(f"dataset {name} index {top} is outside the "
-                             f"instance's {size} {name}s")
+    _check_index("state", dataset.states, mdp.num_states)
+    _check_index("action", dataset.actions, mdp.num_actions)
 
 
 def split(dataset, cfg):
@@ -160,7 +170,9 @@ def split(dataset, cfg):
 
 
 def visited_table(dataset, S):
-    """(H,S) boolean: state s seen at step t in the dataset."""
+    """(H,S) boolean: state s seen at step t in the dataset; a state index
+    >= S raises ValueError."""
+    _check_index("state", dataset.states, S)
     vis = np.zeros((dataset.horizon, S), dtype=bool)
     vis[np.arange(dataset.horizon), dataset.states] = True
     return vis

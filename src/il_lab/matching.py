@@ -64,15 +64,16 @@ def build_match_lp(mdp):
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
     flow = np.zeros((H * S, H * S * A))
     b = np.zeros(H * S)
-    for s in range(S):
-        flow[s, s * A:(s + 1) * A] = 1.0
     b[:S] = mdp.rho
-    for t in range(H - 1):
-        for s2 in range(S):
-            ri = (t + 1) * S + s2
-            base = ((t + 1) * S + s2) * A
-            flow[ri, base:base + A] = 1.0
-            flow[ri, t * S * A:(t + 1) * S * A] -= mdp.transitions[t, :, :, s2].ravel()
+    # Row t*S + s', by cell (t', s, a): +1 on its own cells (t, s'), and
+    # for t >= 1 P_{t-1}(s'|s, a) subtracted from zeros on layer t - 1, so
+    # that a zero entry stays +0.
+    cells = flow.reshape(H * S, H * S, A)
+    rows = np.arange(H * S)
+    cells[rows, rows] = 1.0
+    for t in range(1, H):
+        cells[t * S:(t + 1) * S, (t - 1) * S:t * S] -= np.moveaxis(
+            mdp.transitions[t - 1], 2, 0)
     flow.flags.writeable = b.flags.writeable = False
     return flow, b
 
@@ -91,8 +92,9 @@ class CrashLp:
 
 @lru_cache(maxsize=INSTANCE_CACHE)
 def crash_factor(lp):
-    """(B0^-1, B0^-1 b, B0^-1 A) of the crash basis B0, the simplex's first
-    round for every target: factored once per mdp and returned read-only."""
+    """The simplex's start from the crash basis B0, (B0, B0^-1, B0^-1 b,
+    B0^-1 A), the same for every target: factored once per mdp and returned
+    read-only."""
     return sx.factor(lp.A, lp.b, lp.basis)
 
 
@@ -109,9 +111,8 @@ def solve_occupancy_match(mdp, target):
     if g.shape != (mdp.horizon, mdp.num_states, mdp.num_actions):
         raise ValueError("target/mdp dimension mismatch")
     Amat, b = build_match_lp(mdp)
-    basis = crash_basis(mdp)
-    first = crash_factor(CrashLp(mdp, Amat, b, basis))
-    x, bound, status, iters = sx.simplex(Amat, b, g.ravel(), basis, first)
+    start = crash_factor(CrashLp(mdp, Amat, b, crash_basis(mdp)))
+    x, bound, status, iters = sx.simplex(Amat, b, g.ravel(), start)
     if status != "optimal":
         return LpSolution(None, np.inf, "numeric-failure", iters)
     d = x.reshape(g.shape)

@@ -25,18 +25,17 @@ direction); only when that fails does it build a tableau and iterate, so a
 crash that already prices out costs no tableau and accumulated drift cannot
 leak into results. A round that ends with no iteration ends the solve as a
 numeric failure: the next round would take the same basis and fail the same
-check. The first round works from the start basis B0's factorization
-(B0^-1, B0^-1 b, B0^-1 A; see factor), which does not depend on g, so a
-caller that solves many targets from one basis may supply it: matching
-factors its crash once per mdp. Every later round reads its basis B off the
-last tableau, whose B0 columns hold C = B^-1 B0, so B^-1 = C B0^-1: its
-basic values are C B0^-1 (b - A xn) plus one refinement step against the
-original (A, b), its duals (c_B C) B0^-1 and its tableau C (B0^-1 A). That
-is matrix products alone: LAPACK runs only in factor, once per start basis,
-so a solve's bytes do not move with the BLAS thread count (a 128 x 128
-inverse's did). The objective returned is the certificate's dual bound
-b.y + sum_j g_j min(1, -z_j). Never reports "optimal" without that
-certificate.
+check. The first round works from the start basis B0 and its factorization
+(B0^-1, B0^-1 b, B0^-1 A; see factor), which does not depend on g, so the
+caller supplies the start: matching factors its crash once per mdp. Every
+later round reads its basis B off the last tableau, whose B0 columns hold
+C = B^-1 B0, so B^-1 = C B0^-1: its basic values are C B0^-1 (b - A xn)
+plus one refinement step against the original (A, b), its duals
+(c_B C) B0^-1 and its tableau C (B0^-1 A). That is matrix products alone:
+LAPACK runs only in factor, once per start basis, so a solve's bytes do not
+move with the BLAS thread count (a 128 x 128 inverse's did). The objective
+returned is the certificate's dual bound b.y + sum_j g_j min(1, -z_j).
+Never reports "optimal" without that certificate.
 
 Each pivot's rank-1 update touches only the tableau entries whose pivot-row
 and pivot-column factors are both nonzero (a few percent of the pivot row on
@@ -56,32 +55,27 @@ _MAX_ROUNDS = 20
 
 
 def factor(A, b, basis):
-    """(B^-1, B^-1 b, B^-1 A) for the basis B = A[:, basis], read-only: the
-    first round's factorization, which depends on the LP and the basis but
-    not on g. Raises LinAlgError when B is singular."""
+    """The start of a solve from the basis B = A[:, basis], read-only:
+    (basis, B^-1, B^-1 b, B^-1 A), the first round's factorization, which
+    depends on the LP and the basis but not on g. Raises LinAlgError when B
+    is singular."""
+    basis = np.array(basis)
     Binv = np.linalg.inv(A[:, basis])
-    out = Binv, Binv @ b, Binv @ A
+    out = basis, Binv, Binv @ b, Binv @ A
     for arr in out:
         arr.flags.writeable = False
     return out
 
 
-def simplex(A, b, g, basis, first=None):
+def simplex(A, b, g, start):
     """Returns (x, objective, status, iterations) with status in
     {"optimal", "numeric-failure"}; objective is the certificate's dual bound.
-    basis must index a basis that is feasible with every nonbasic x at 0.
-    first, if given, is factor(A, b, basis); without it the solve factors
-    the basis itself."""
+    start is factor(A, b, basis) for a basis that is feasible with every
+    nonbasic x at 0."""
     m, n = A.shape
     g = np.asarray(g, dtype=np.float64)
-    basis = np.array(basis)
-    crash = basis.copy()
-    if first is None:
-        try:
-            first = factor(A, b, basis)
-        except np.linalg.LinAlgError:
-            return None, np.inf, "numeric-failure", 0
-    B0inv, xb, B0invA = first
+    crash, B0inv, xb, B0invA = start
+    basis = crash.copy()
     xn = np.zeros(n)  # nonbasic positions, 0 or g; 0 on the basis
     up = np.where(g > 0.0, 1.0, -1.0)
     down = np.full(n, -np.inf)

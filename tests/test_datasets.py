@@ -8,7 +8,7 @@ from il_lab.acceptance import random_policy
 from il_lab.datasets import Dataset, SplitConfig, cell_sums, \
     empirical_occupancy, check_dataset, load_dataset, missing_mass, sample_dataset, save_dataset, split, \
     visited_table
-from il_lab.harness import make_instance
+from il_lab.harness import make_instance, train
 from il_lab.instances import geometric_reset, make_bc_lb, make_fan, \
     make_mm_lb
 from il_lab.learners import bc_train
@@ -433,6 +433,30 @@ def test_load_rejects_malformed_rows(tmp_path, rows, message):
                     + rows)
     with pytest.raises(ValueError, match=message):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("learner", ["bc", "mm", "re"])
+def test_an_out_of_range_action_is_not_counted_in_the_next_state(learner):
+    # bc-lb with S=4, A=2: action 2 at state 0 forms the index s*A + a of
+    # (state 1, action 0). Every learner refuses it, naming the index and
+    # its bound, instead of cloning action 0 at state 1.
+    mdp = make_bc_lb(4, 2, 2, None, 0)[0]
+    ds = Dataset([[0, 1]] * 4, [[2, 0]] * 4)
+    with pytest.raises(ValueError, match="action index 2 is outside the "
+                                         "instance's 2 actions"):
+        train(learner, {}, ds, mdp)
+
+
+def test_out_of_range_indices_raise_where_they_are_counted():
+    ds = Dataset([[0, 4]], [[1, 0]])
+    for count in (lambda: cell_sums(ds.states, ds.actions, 4, 2),
+                  lambda: visited_table(ds, 4)):
+        with pytest.raises(ValueError, match="state index 4 is outside the "
+                                             "instance's 4 states"):
+            count()
+    with pytest.raises(ValueError, match="action index 1 is outside the "
+                                         "instance's 1 actions"):
+        cell_sums(ds.states, ds.actions, 5, 1)
 
 
 def test_check_dataset_against_instance():

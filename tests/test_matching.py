@@ -61,22 +61,21 @@ def l1_match_reference(mdp, g):
 def test_match_lp_blocks():
     mdp, _ = bc_lb_targets()
     Amat, b = build_match_lp(mdp)
+    H, S, A = 8, 16, 2
     # One column per cell, one row per flow constraint.
-    assert Amat.shape == (8 * 16, 8 * 16 * 2) == (128, 256)
-    assert np.array_equal(b, np.r_[mdp.rho, np.zeros(7 * 16)])
-    for t in range(8):
-        for s in range(16):
-            row = Amat[t * 16 + s]
-            # Each flow row sums the actions of its own (t, s) cell ...
-            own = row[t * 32:(t + 1) * 32].reshape(16, 2)
-            assert np.array_equal(own[s], [1.0, 1.0])
-            assert not own[np.arange(16) != s].any()
-            # ... less the inflow from layer t - 1, and nothing else.
-            if t:
-                inflow = -row[(t - 1) * 32:t * 32].reshape(16, 2)
-                assert np.array_equal(inflow, mdp.transitions[t - 1, :, :, s])
-            rest = np.r_[row[:max(t - 1, 0) * 32], row[(t + 1) * 32:]]
-            assert not rest.any()
+    assert Amat.shape == (H * S, H * S * A) == (128, 256)
+    assert b.tobytes() == np.r_[mdp.rho, np.zeros((H - 1) * S)].tobytes()
+    # Row (t, s2) by column (t1, s, a), entry for entry: each flow row sums
+    # the actions of its own (t, s2) cell, less the inflow from layer
+    # t - 1, subtracted from +0 so that a zero entry is +0, and nothing
+    # else.
+    want = np.zeros((H, S, H, S, A))
+    for t, s2, t1, s, a in np.ndindex(want.shape):
+        if (t1, s) == (t, s2):
+            want[t, s2, t1, s, a] = 1.0
+        elif t1 == t - 1:
+            want[t, s2, t1, s, a] = 0.0 - mdp.transitions[t1, s, a, s2]
+    assert Amat.tobytes() == want.reshape(Amat.shape).tobytes()
 
 
 def test_match_lp_is_built_once_and_read_only(clear_caches):

@@ -63,3 +63,48 @@ def test_an_unused_import_is_caught():
                      "from .rng import mix64, mix64_array as mixa\n"
                      "x = np.zeros(mixa(1, 2))\n")
     assert unused_imports(tree) == {"os", "mix64"}
+
+
+def linalg_uses(tree):
+    """(function, name) of every numpy.linalg name the module reads, with
+    the function it is read in (None at module level); an import of
+    numpy.linalg, or of a name from it, counts as ("import", module)."""
+    uses = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"):
+            uses.append((func, node.attr))
+        elif isinstance(node, ast.Import):
+            uses.extend(("import", a.name) for a in node.names
+                        if "linalg" in a.name)
+        elif isinstance(node, ast.ImportFrom) and "linalg" in (
+                node.module or "") + "".join(a.name for a in node.names):
+            uses.append(("import", node.module))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return uses
+
+
+def test_lapack_runs_only_in_factor_and_fit_slope():
+    # A LAPACK call's rounding can depend on the BLAS thread count. The
+    # match solve calls it once per start basis, in simplex.factor, and the
+    # rest of the lab only to fit slopes.
+    uses = {(path.name, *use) for path in SRC.glob("*.py")
+            for use in linalg_uses(ast.parse(path.read_text()))}
+    assert uses == {("simplex.py", "factor", "inv"),
+                    ("harness.py", "fit_slope", "lstsq")}
+
+
+def test_a_linalg_call_anywhere_else_is_caught():
+    tree = ast.parse("import numpy as np\nfrom numpy import linalg\n"
+                     "def simplex(A):\n    def inner():\n"
+                     "        return np.linalg.solve(A, A)\n"
+                     "    return np.linalg.LinAlgError\n")
+    assert sorted(linalg_uses(tree), key=str) == [
+        ("import", "numpy"), ("inner", "solve"), ("simplex", "LinAlgError")]

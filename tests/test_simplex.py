@@ -11,7 +11,8 @@ from il_lab.matching import CrashLp, MatchTarget, build_match_lp, \
 from il_lab.mdp import deterministic_policy, exact_occupancy
 from il_lab.rng import mix64
 import il_lab.simplex as simplex_module
-from il_lab.simplex import _MAX_ROUNDS, _PIVOT_MIN, TOL, _iterate, simplex
+from il_lab.simplex import _MAX_ROUNDS, _PIVOT_MIN, TOL, _iterate, factor, \
+    simplex
 
 
 def slack_form(A_ub, b_ub):
@@ -25,6 +26,11 @@ def slack_form(A_ub, b_ub):
 def unit(seed, *shape):
     flat = np.array([mix64(seed, i) for i in range(int(np.prod(shape)))])
     return (flat / 2.0**64).reshape(shape)
+
+
+def solve(A, b, g, basis):
+    """simplex from the start basis, factored here."""
+    return simplex(A, b, g, factor(A, b, basis))
 
 
 def l1_reference(A, b, g, tol=None):
@@ -60,7 +66,7 @@ def test_known_tiny_lp():
     A = np.array([[1.0, 1.0, 1.0]])
     b = np.array([1.0])
     g = np.array([0.7, 0.6, 0.0])
-    out = simplex(A, b, g, [2])
+    out = solve(A, b, g, [2])
     assert check_solution(A, b, g, out) == pytest.approx(0.3, abs=1e-12)
     assert out[0][2] == 0.0
 
@@ -70,7 +76,7 @@ def test_degenerate_rhs():
     A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 1.0]])
     b = np.array([1.0, 0.0])
     g = np.array([0.8, 0.8, 0.0, 0.0])
-    obj = check_solution(A, b, g, simplex(A, b, g, [2, 3]))
+    obj = check_solution(A, b, g, solve(A, b, g, [2, 3]))
     assert obj == pytest.approx(0.6, abs=1e-12)
     assert obj == pytest.approx(l1_reference(A, b, g), abs=1e-9)
 
@@ -78,7 +84,7 @@ def test_degenerate_rhs():
 def test_equality_feasibility_maintained():
     A, b, basis = slack_form(unit(71, 6, 9), unit(72, 6) + 1.0)
     g = unit(73, 15) * 2.0
-    check_solution(A, b, g, simplex(A, b, g, basis))
+    check_solution(A, b, g, solve(A, b, g, basis))
 
 
 def test_matches_reference_solver_on_random_lps():
@@ -94,7 +100,7 @@ def test_matches_reference_solver_on_random_lps():
         g = unit(mix64(81, i, 4), n + m) * 2.0
         g[unit(mix64(81, i, 6), n + m) < 0.25] = 0.0
         ref = l1_reference(A, b, g)
-        x, obj, status, _ = simplex(A, b, g, basis)
+        x, obj, status, _ = solve(A, b, g, basis)
         if status != "optimal":
             failures.append((i, f"status {status}"))
         elif abs(obj - ref) > 1e-7 * max(1.0, ref):
@@ -111,7 +117,7 @@ def test_stall_limit_one_still_reaches_the_optimum(monkeypatch):
     A = np.array([[1.0, 1.0]])
     b = np.array([1.0])
     g = np.array([1.0, 0.0])
-    x, obj, status, _ = simplex(A, b, g, [1])
+    x, obj, status, _ = solve(A, b, g, [1])
     assert status == "optimal"
     assert obj == pytest.approx(0.0, abs=1e-12)
     assert np.array_equal(x, [1.0, 0.0])
@@ -127,7 +133,7 @@ def test_crash_that_prices_out_takes_no_iterations():
         pi0 = deterministic_policy(np.zeros((H, S), dtype=np.int64), A)
         d0 = exact_occupancy(mdp, pi0).d.ravel()
         Amat, b = build_match_lp(mdp)
-        x, obj, status, it = simplex(Amat, b, 1.5 * d0, crash_basis(mdp))
+        x, obj, status, it = solve(Amat, b, 1.5 * d0, crash_basis(mdp))
         assert (status, it) == ("optimal", 0)
         assert obj == pytest.approx(0.5 * H, abs=1e-12)
         assert np.abs(x - d0).max() <= 1e-10
@@ -276,7 +282,7 @@ def test_iteration_cap_reports_failure_not_lies(monkeypatch):
     # simplex turns an exhausted 50 * n budget into a failure, not a point.
     monkeypatch.setattr(simplex_module, "_iterate",
                         lambda *args: (False, args[-1]))
-    x, obj, status, it = simplex(A, b, g, basis)
+    x, obj, status, it = solve(A, b, g, basis)
     assert (x, obj, status) == (None, np.inf, "numeric-failure")
     assert it == 50 * A.shape[1]
 
@@ -290,7 +296,7 @@ def test_the_round_cap_ends_a_solve_that_keeps_iterating(monkeypatch):
     rounds = []
     monkeypatch.setattr(simplex_module, "_iterate",
                         lambda *args: rounds.append(args) or (True, 1))
-    x, obj, status, it = simplex(A, b, g, basis)
+    x, obj, status, it = solve(A, b, g, basis)
     assert (x, obj, status) == (None, np.inf, "numeric-failure")
     assert it == len(rounds) == _MAX_ROUNDS == 20
 
@@ -352,9 +358,9 @@ def matching_solves(monkeypatch):
 
 def test_a_cached_first_round_solves_bit_for_bit(clear_caches, monkeypatch):
     # mm and re dataset targets and a tilted target on bc-lb S=16 and mm-lb,
-    # H=8: the solve passes its mdp's cached crash factor, and the same LP
-    # solved with simplex factoring its own first round gives the same x
-    # bytes, bound, status and iterations.
+    # H=8: the solve passes its mdp's cached crash start, which holds the
+    # bytes of a fresh factor of its basis, and the same LP solved from that
+    # fresh start gives the same x bytes, bound, status and iterations.
     calls = matching_solves(monkeypatch)
     for inst, (mdp, expert) in (
             ({"family": "mm-lb"}, make_mm_lb(8, 1024)),
@@ -370,8 +376,10 @@ def test_a_cached_first_round_solves_bit_for_bit(clear_caches, monkeypatch):
     assert len(calls) == 2 * (2 * 3 + 1)
     assert crash_factor.cache_info().misses == 2
     pivoted = 0
-    for A, b, g, basis, first in calls:
-        warm, cold = simplex(A, b, g, basis, first), simplex(A, b, g, basis)
+    for A, b, g, start in calls:
+        fresh = factor(A, b, start[0])
+        assert [a.tobytes() for a in start] == [a.tobytes() for a in fresh]
+        warm, cold = simplex(A, b, g, start), simplex(A, b, g, fresh)
         assert warm[0].tobytes() == cold[0].tobytes()
         assert warm[1:] == cold[1:]
         pivoted += warm[3] > 0
@@ -382,13 +390,15 @@ def test_the_crash_factor_is_built_once_per_mdp_and_read_only(clear_caches):
     mdp = make_bc_lb(16, 8, 2, geometric_reset(15, 0.5), 7)[0]
     A, b = build_match_lp(mdp)
     basis = crash_basis(mdp)
-    first = crash_factor(CrashLp(mdp, A, b, basis))
+    start = crash_factor(CrashLp(mdp, A, b, basis))
     # Keyed by the mdp alone: an equal LP held in other arrays hits.
     assert crash_factor(CrashLp(mdp, A.copy(), b.copy(), list(basis))) \
-        is first
+        is start
     assert crash_factor.cache_info()[:2] == (1, 1)
-    Binv, xb, BinvA = first
-    assert not any(arr.flags.writeable for arr in first)
+    # The basis is part of the read-only start.
+    B0, Binv, xb, BinvA = start
+    assert np.array_equal(B0, basis)
+    assert not any(arr.flags.writeable for arr in start)
     assert np.abs(Binv @ A[:, basis] - np.eye(len(basis))).max() <= 1e-12
     assert np.array_equal(xb, Binv @ b)
     assert np.array_equal(BinvA, Binv @ A)
@@ -404,8 +414,8 @@ def test_a_backward_ratio_step_still_reaches_the_optimum(monkeypatch):
     # feasibility tolerances.
     calls = matching_solves(monkeypatch)
     run_cell(BC_LB, {"id": "re"}, 4, 16384, mix64(9, 0, 77))
-    (A, b, g, basis, _), = calls
-    x, obj, status, it = simplex(A, b, g, basis)
+    (A, b, g, start), = calls
+    x, obj, status, it = simplex(A, b, g, start)
     assert status == "optimal", (status, it)
     assert abs(obj - l1_reference(A, b, g, tol=1e-10)) <= 1e-12
 
