@@ -10,7 +10,7 @@ from .harness import ExperimentConfig, ResultRow, conditional_gap_check, \
 from .instances import geometric_reset, make_bc_lb, make_fan, make_mm_lb, \
     make_two_state_uniform
 from .learners import MembershipOracle, bc_train, complement_exact, \
-    hybrid_estimate, match, membership_tabular, mm_train, prefix_weight, \
+    hybrid_estimate, match, membership_tabular, mm_train, prefix_weights, \
     re_pipeline, re_train, replay_exact, replay_mc
 from .matching import LpSolution, MatchTarget, brute_force_match, \
     build_match_lp, extract_policy, solve_occupancy_match

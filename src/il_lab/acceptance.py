@@ -16,7 +16,7 @@ from .harness import ExperimentConfig, conditional_gap_check, event_probe, \
 from .instances import geometric_reset, make_bc_lb, make_fan, make_mm_lb, \
     make_two_state_uniform
 from .learners import MembershipOracle, bc_train, complement_exact, match, \
-    membership_tabular, mm_train, prefix_weight, re_pipeline, re_train, \
+    membership_tabular, mm_train, prefix_weights, re_pipeline, re_train, \
     replay_exact, replay_mc
 from .matching import MatchTarget, brute_force_match, extract_policy, \
     solve_occupancy_match
@@ -450,12 +450,11 @@ def _prop_prefix_monotone():
         hard = MembershipOracle((_unit_grid(mix64(912, i, 4), H, S)
                                  > 0.4).astype(np.float64))
         for orc in (soft, hard):
-            for row in states:
-                w = [prefix_weight(orc, row[:k]) for k in range(H + 1)]
-                ok &= all(b <= a + 1e-15 for a, b in zip(w, w[1:]))
-                if orc is hard:
-                    hit = [v == 0.0 for v in w]
-                    ok &= hit == sorted(hit)
+            w = prefix_weights(orc, states)
+            ok &= bool((w[:, 1:] <= w[:, :-1] + 1e-15).all())
+            if orc is hard:
+                hit = w == 0.0
+                ok &= bool((hit[:, 1:] >= hit[:, :-1]).all())
     return ok, "prefix weights non-increasing; hard-oracle zeros absorbing"
 
 

@@ -13,8 +13,7 @@ import json
 import sys
 
 from . import acceptance
-from .datasets import check_dataset, load_dataset, sample_dataset, \
-    save_dataset
+from .datasets import load_dataset, sample_dataset, save_dataset
 from .harness import ExperimentConfig, event_probe, fit_slope, load_csv, \
     make_instance, rows_to_csv, run_experiment, train
 from .mdp import load_json, mdp_from_json, mdp_to_json, parse_json, \
@@ -56,7 +55,6 @@ def _config_mapping(spec_text):
 def _cmd_train(args):
     mdp = mdp_from_json(load_json(args.instance))
     ds = load_dataset(args.dataset)
-    check_dataset(ds, mdp)
     pol = train(args.learner, _config_mapping(args.config), ds, mdp)
     save_json(policy_to_json(pol), args.out)
     print(f"wrote {args.out}; J(policy) = {policy_value(mdp, pol):.6f}")

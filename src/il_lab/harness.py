@@ -25,7 +25,8 @@ from itertools import product
 
 import numpy as np
 
-from .datasets import SPLIT_KINDS, Dataset, SplitConfig, sample_dataset
+from .datasets import SPLIT_KINDS, Dataset, SplitConfig, check_dataset, \
+    sample_dataset
 from .instances import (make_bc_lb, make_fan, make_mm_lb,
                         make_two_state_uniform, geometric_reset)
 from .learners import bc_train, mm_train, re_train
@@ -150,17 +151,22 @@ def train(learner, options, dataset, mdp):
     """The learner dispatch: bc and mm read no key, re reads the SplitConfig
     fields (frac1, split_seed). options must be a JSON object; a key the
     learner does not read, or a value of the wrong kind, raises ValueError
-    naming it (mdp.check_json)."""
+    naming it (mdp.check_json). Then the dataset must fit the instance
+    (datasets.check_dataset)."""
     if learner == "bc":
         check_json(options, {}, "bc config")
+        check_dataset(dataset, mdp)
         return bc_train(dataset, mdp.num_states, mdp.num_actions,
                         mdp.horizon)
     if learner == "mm":
         check_json(options, {}, "mm config")
+        check_dataset(dataset, mdp)
         return mm_train(dataset, mdp)
     if learner == "re":
         check_json(options, SPLIT_KINDS, "replay-estimation config")
-        return re_train(dataset, mdp, SplitConfig(**options))
+        cfg = SplitConfig(**options)
+        check_dataset(dataset, mdp)
+        return re_train(dataset, mdp, cfg)
     raise ValueError(f"unknown learner {learner!r}")
 
 
@@ -342,7 +348,8 @@ def conditional_gap_check(n_exp, H, n_datasets, seed):
 # -------------------------------------------------------------- slope fits
 
 def fit_slope(rows, where=None, x="n_exp"):
-    """OLS slope of log(mean gap) on log(x) with stderr from residuals.
+    """OLS slope of log(mean gap) on log(x), by the centered closed form,
+    with stderr from residuals.
     Requires >= 3 grid points, each the mean of >= 100 ok rows. where
     keeps the rows whose columns equal its values; a key that is not a
     ResultRow column raises ValueError."""
@@ -367,10 +374,10 @@ def fit_slope(rows, where=None, x="n_exp"):
         raise ValueError("nonpositive mean gap; log-log fit undefined")
     lx = np.log(np.array([float(k) for k, _ in pts]))
     ly = np.log(means)
-    X = np.stack([np.ones_like(lx), lx], axis=1)
-    beta, *_ = np.linalg.lstsq(X, ly, rcond=None)
-    resid = ly - X @ beta
+    cx, cy = lx - lx.mean(), ly - ly.mean()
+    sxx = float((cx ** 2).sum())
+    slope = float(cx @ cy) / sxx
+    resid = cy - slope * cx
     dof = max(len(pts) - 2, 1)
     s2 = float(resid @ resid) / dof
-    sxx = float(((lx - lx.mean()) ** 2).sum())
-    return float(beta[1]), math.sqrt(s2 / sxx)
+    return slope, math.sqrt(s2 / sxx)

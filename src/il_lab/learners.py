@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import cell_sums, empirical_occupancy, split, visited_table
 from .matching import MatchTarget, extract_policy, solve_occupancy_match
-from .mdp import MarkovPolicy, OccupancyMeasures, rollout_batch
+from .mdp import MarkovPolicy, OccupancyMeasures, rollout_batch, table
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,11 +26,8 @@ class MembershipOracle:
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.m, dtype=np.float64)
-        if m.ndim != 2 or not np.all(np.isfinite(m)) or m.min() < 0 or m.max() > 1:
-            raise ValueError("membership table must be (H,S) with entries in [0,1]")
-        m.flags.writeable = False
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", table(self.m, "membership",
+                                            (None, None), hi=1.0))
 
     @classmethod
     def ones(cls, H, S):
@@ -81,19 +78,11 @@ def membership_tabular(d1, S, H):
     return MembershipOracle(visited_table(d1, S).astype(np.float64))
 
 
-def prefix_weight(oracle, prefix_states):
-    """Product of m_{t'}(s_{t'}) over the given prefix; 1 on the empty
-    prefix; non-increasing as the prefix grows."""
-    w = 1.0
-    for t, s in enumerate(prefix_states):
-        w *= oracle.m[t, s]
-    return float(w)
-
-
-def _prefix_weights_batch(oracle, states):
-    """(n,H) prefix weights along sampled trajectories, an F-order view of
-    one (H, n) buffer filled step by step, w_t = w_{t-1} m_{t-1}(s_{t-1}):
-    the products of a running cumprod, in its order."""
+def prefix_weights(oracle, states):
+    """(n,H) prefix weights along sampled trajectories: w_0 = 1 and
+    w_t = w_{t-1} m_{t-1}(s_{t-1}), non-increasing in t. An F-order view
+    of one (H, n) buffer filled step by step: the products of a running
+    cumprod, in its order."""
     n, H = states.shape
     out = np.empty((H, n))
     out[0] = 1.0
@@ -112,10 +101,10 @@ def replay_exact(mdp, bc_policy, oracle, include_current=False):
     d = np.empty((H, S, A))
     w = mdp.rho.copy()
     for t in range(H):
-        wt = w * oracle.m[t] if include_current else w
-        d[t] = wt[:, None] * bc_policy.probs[t]
+        kept = w * oracle.m[t]
+        d[t] = (kept if include_current else w)[:, None] * bc_policy.probs[t]
         if t + 1 < H:
-            w = np.einsum("s,sa,saz->z", w * oracle.m[t], bc_policy.probs[t],
+            w = np.einsum("s,sa,saz->z", kept, bc_policy.probs[t],
                           mdp.transitions[t])
     return OccupancyMeasures(d, "weighted")
 
@@ -128,7 +117,7 @@ def replay_mc(mdp, bc_policy, oracle, n_rollouts, seed):
     if n_rollouts < 1:
         raise ValueError("n_rollouts must be positive")
     states, actions = rollout_batch(mdp, bc_policy, n_rollouts, seed)
-    weights = _prefix_weights_batch(oracle, states)
+    weights = prefix_weights(oracle, states)
     d = cell_sums(states, actions, mdp.num_states, mdp.num_actions, weights)
     return OccupancyMeasures(d / n_rollouts, "weighted")
 
@@ -139,7 +128,7 @@ def hybrid_estimate(replay, d2, oracle):
     if d2.n == 0:
         raise ValueError("empty empirical split")
     _, S, A = replay.d.shape
-    weights = _prefix_weights_batch(oracle, d2.states)
+    weights = prefix_weights(oracle, d2.states)
     np.subtract(1.0, weights, out=weights)
     weights /= d2.n
     return MatchTarget(replay.d + cell_sums(d2.states, d2.actions, S, A,
@@ -157,13 +146,9 @@ def complement_exact(mdp, policy, oracle, include_current=False):
     w = mdp.rho.copy()
     x = np.zeros(S)
     for t in range(H):
-        if include_current:
-            xt = x + w * (1.0 - oracle.m[t])
-            d[t] = xt[:, None] * policy.probs[t]
-        else:
-            d[t] = x[:, None] * policy.probs[t]
+        carry = x + w * (1.0 - oracle.m[t])
+        d[t] = (carry if include_current else x)[:, None] * policy.probs[t]
         if t + 1 < H:
-            carry = x + w * (1.0 - oracle.m[t])
             x = np.einsum("s,sa,saz->z", carry, policy.probs[t],
                           mdp.transitions[t])
             w = np.einsum("s,sa,saz->z", w * oracle.m[t], policy.probs[t],

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import simplex as sx
 from .mdp import (INSTANCE_CACHE, MarkovPolicy, OccupancyMeasures,
-                  deterministic_policy, exact_occupancy)
+                  deterministic_policy, exact_occupancy, table)
 
 FLOW_TOL = 1e-8
 OBJ_TOL = 1e-8
@@ -34,13 +34,8 @@ class MatchTarget:
     g: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.g, dtype=np.float64)
-        if g.ndim != 3:
-            raise ValueError("target must be (H,S,A)")
-        if not np.all(np.isfinite(g)) or g.min() < 0:
-            raise ValueError("target entries must be finite and nonnegative")
-        g.flags.writeable = False
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", table(self.g, "target",
+                                            (None, None, None)))
 
 
 @dataclass(frozen=True, eq=False)

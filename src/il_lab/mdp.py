@@ -2,7 +2,9 @@
 seeded rollouts. Conventions: steps are 0-based t in [0, H); transitions[t]
 maps step t to t+1 and exists only for t < H-1; probability rows live on the
 last axis, must sum to 1 within 1e-9 (then get renormalized exactly), and
-zero rows are rejected -- absorbing states need explicit self-loops.
+zero rows are rejected -- absorbing states need explicit self-loops. Every
+float table the lab validates, here and in matching and learners, is
+checked and copied read-only by table.
 rollout_batch matches the scalar reference rollout (tests/oracles.py) bit
 for bit: it absorbs each trajectory's hash prefix once, and it draws by
 exact integer CDF thresholds instead of comparing floats, most draws as one
@@ -32,20 +34,35 @@ VALUE_XCHECK_TOL = 1e-10
 INSTANCE_CACHE = 16
 
 
-def _prob_rows(x, name):
-    """Validate rows along the last axis: finite, nonnegative, sum in
-    1 +- ROW_TOL. Returns a renormalized, owned float64 copy."""
+def table(x, what, shape, hi=np.inf):
+    """The one check of every float table the lab validates: returns a
+    fresh read-only float64 copy of x. Raises ValueError naming what when
+    its shape differs from shape (a None entry matches any length; the
+    message gives both shapes) or when an entry is non-finite or outside
+    [0, hi]."""
     x = np.array(x, dtype=np.float64)
-    if x.size == 0:
-        return x
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name}: non-finite entries")
-    if (x < 0).any():
-        raise ValueError(f"{name}: negative entries")
+    if x.ndim != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, x.shape)):
+        raise ValueError(f"{what} must have shape "
+                         f"{str(shape).replace('None', '*')}, got {x.shape}")
+    if (not np.isfinite(x).all() or x.min(initial=0.0) < 0
+            or x.max(initial=0.0) > hi):
+        raise ValueError(f"{what} entries must be finite and lie in "
+                         f"[0, {hi:g}]")
+    x.flags.writeable = False
+    return x
+
+
+def _prob_rows(x, name, shape):
+    """table(x, name, shape) with its rows along the last axis summing to
+    1 +- ROW_TOL, renormalized: a fresh read-only copy."""
+    x = table(x, name, shape)
     s = x.sum(axis=-1)
-    if np.abs(s - 1.0).max() > ROW_TOL:
+    if np.abs(s - 1.0).max(initial=0.0) > ROW_TOL:
         raise ValueError(f"{name}: row sums deviate from 1 by more than {ROW_TOL}")
-    return x / s[..., None]
+    x = x / s[..., None]
+    x.flags.writeable = False
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,19 +80,11 @@ class TabularMdp:
         H, S, A = self.horizon, self.num_states, self.num_actions
         if H < 1 or S < 1 or A < 1:
             raise ValueError("horizon, num_states, num_actions must be positive")
-        rho = _prob_rows(self.rho, "rho")
-        if rho.shape != (S,):
-            raise ValueError("rho shape mismatch")
-        P = _prob_rows(self.transitions, "transitions")
-        if P.shape != (H - 1, S, A, S):
-            raise ValueError("transitions shape mismatch")
-        r = np.array(self.rewards, dtype=np.float64)
-        if r.shape != (H, S, A):
-            raise ValueError("rewards shape mismatch")
-        if not np.all(np.isfinite(r)) or r.min() < 0.0 or r.max() > 1.0:
-            raise ValueError("rewards must lie in [0,1]")
-        for name, arr in (("rho", rho), ("transitions", P), ("rewards", r)):
-            arr.flags.writeable = False
+        for name, arr in (
+                ("rho", _prob_rows(self.rho, "rho", (S,))),
+                ("transitions", _prob_rows(self.transitions, "transitions",
+                                           (H - 1, S, A, S))),
+                ("rewards", table(self.rewards, "rewards", (H, S, A), hi=1.0))):
             object.__setattr__(self, name, arr)
 
 
@@ -86,11 +95,8 @@ class MarkovPolicy:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = _prob_rows(self.probs, "policy")
-        if p.ndim != 3:
-            raise ValueError("policy table must be (H,S,A)")
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _prob_rows(self.probs, "policy",
+                                                     (None, None, None)))
 
 
 def deterministic_policy(actions, num_actions):
@@ -116,18 +122,13 @@ class OccupancyMeasures:
     def __post_init__(self):
         if self.kind not in _OCC_KINDS:
             raise ValueError(f"kind must be one of {_OCC_KINDS}")
-        d = np.array(self.d, dtype=np.float64)
-        if d.ndim != 3:
-            raise ValueError("occupancies must be (H,S,A)")
-        if not np.all(np.isfinite(d)) or d.min() < 0:
-            raise ValueError("occupancies must be finite and nonnegative")
+        d = table(self.d, "occupancies", (None, None, None))
         sums = d.sum(axis=(1, 2))
         if self.kind == "weighted":
             if sums.max() > 1 + ROW_TOL:
                 raise ValueError("weighted layer sums exceed 1")
         elif np.abs(sums - 1.0).max() > ROW_TOL:
             raise ValueError(f"{self.kind} layers must sum to 1 within {ROW_TOL}")
-        d.flags.writeable = False
         object.__setattr__(self, "d", d)
 
 
@@ -378,7 +379,7 @@ _POLICY_KINDS = {"horizon": int, "num_states": int, "num_actions": int,
 
 def policy_from_json(doc):
     check_json(doc, _POLICY_KINDS, "policy", required=("probs",))
-    policy = MarkovPolicy(np.array(doc["probs"], dtype=np.float64))
+    policy = MarkovPolicy(doc["probs"])
     for key, size in zip(("horizon", "num_states", "num_actions"),
                          policy.probs.shape):
         if doc.get(key, size) != size:

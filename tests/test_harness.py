@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from il_lab import harness
-from il_lab.datasets import SplitConfig, sample_dataset
+from il_lab.datasets import Dataset, SplitConfig, sample_dataset
 from il_lab.harness import CSV_COLUMNS, ExperimentConfig, ResultRow, \
     conditional_gap_check, event_probe, fit_slope, load_csv, make_instance, \
     rows_to_csv, run_cell, run_experiment, train
@@ -168,6 +168,24 @@ def test_train_builds_re_config_from_its_fields():
                            "oracle_override$")):
         with pytest.raises(ValueError, match=message):
             train("re", opts, None, None)
+
+
+@pytest.mark.parametrize("learner", ["bc", "mm", "re"])
+@pytest.mark.parametrize("states,message", [
+    ([[0, 1]] * 4, "^dataset horizon 2 does not match the instance "
+     "horizon 3$"),
+    ([[0, 1, 2, 3]] * 4, "^dataset horizon 4 does not match the instance "
+     "horizon 3$"),
+    ([[0, 1, 2]] * 3 + [[0, 7, 1]], "^dataset state index 7 is outside the "
+     "instance's 4 states$")], ids=["short", "long", "state"])
+def test_train_checks_the_dataset_against_the_instance(learner, states,
+                                                       message):
+    # Every learner gets the same message, whichever array would first
+    # index out of range; the re split puts trajectory 3 in D2.
+    mdp = make_bc_lb(4, 3, 2, None, 0)[0]
+    ds = Dataset(states, np.zeros_like(states))
+    with pytest.raises(ValueError, match=message):
+        train(learner, {}, ds, mdp)
 
 
 @pytest.mark.parametrize("family,H", [("mm-lb", 4), ("bc-lb", 4), ("fan", 4),

@@ -8,9 +8,9 @@ from il_lab.datasets import Dataset, SplitConfig, empirical_occupancy, \
 from il_lab.harness import ExperimentConfig, make_instance, run_experiment
 from il_lab.instances import geometric_reset, make_bc_lb, make_mm_lb, \
     make_two_state_uniform
-from il_lab.learners import MembershipOracle, _prefix_weights_batch, \
-    bc_train, complement_exact, hybrid_estimate, match, membership_tabular, \
-    mm_train, prefix_weight, re_pipeline, re_train, replay_exact, replay_mc
+from il_lab.learners import MembershipOracle, bc_train, complement_exact, \
+    hybrid_estimate, match, membership_tabular, mm_train, prefix_weights, \
+    re_pipeline, re_train, replay_exact, replay_mc
 from il_lab.matching import MatchTarget
 from il_lab.mdp import exact_occupancy, l1_layer_distance, policy_value
 from il_lab.rng import mix64
@@ -118,23 +118,25 @@ def test_membership_validation():
 
 
 def test_prefix_weight_examples():
-    oracle = MembershipOracle(np.array([[1.0, 0.5], [0.9, 0.0]]))
-    assert prefix_weight(oracle, []) == 1.0
-    assert prefix_weight(oracle, [0]) == 1.0
-    assert prefix_weight(oracle, [1, 0]) == pytest.approx(0.45, abs=1e-15)
-    assert prefix_weight(oracle, [1, 1]) == 0.0
+    # Step t's weight is the product of membership over the states before
+    # t; the last row of the oracle is never read.
+    oracle = MembershipOracle(np.array([[1.0, 0.5], [0.9, 0.0], [1.0, 1.0]]))
+    w = prefix_weights(oracle, np.array([[0, 1, 1], [1, 0, 0], [1, 1, 0]]))
+    assert w[:, 0].tolist() == [1.0, 1.0, 1.0]
+    assert w[0, 1] == 1.0
+    assert w[1, 2] == pytest.approx(0.45, abs=1e-15)
+    assert w[2, 2] == 0.0
 
 
 def test_prefix_weight_non_increasing():
     oracle = MembershipOracle(np.array([[0.8, 1.0], [0.3, 0.6], [1.0, 0.2]]))
-    for states in ([0, 0, 0], [1, 1, 1], [0, 1, 0]):
-        ws = [prefix_weight(oracle, states[:k]) for k in range(4)]
-        assert all(a >= b for a, b in zip(ws, ws[1:]))
+    w = prefix_weights(oracle, np.array([[0, 0, 0], [1, 1, 1], [0, 1, 0]]))
+    assert (w[:, 1:] <= w[:, :-1]).all()
 
 
 def cumprod_prefix_weights(oracle, states):
     """(n,H) prefix weights by one cumprod along each trajectory, shifted
-    one step: the reference _prefix_weights_batch equals bit for bit."""
+    one step: the reference prefix_weights equals bit for bit."""
     mvals = oracle.m[np.arange(states.shape[1])[None, :], states]
     cum = np.cumprod(mvals, axis=1)
     out = np.ones_like(cum)
@@ -156,7 +158,7 @@ def test_prefix_weights_batch_equals_the_cumprod_reference(n, H):
         ref = cumprod_prefix_weights(oracle, states)
         for dtype in (np.int8, np.int64):
             for order in "CF":
-                got = _prefix_weights_batch(
+                got = prefix_weights(
                     oracle, np.asarray(states, dtype=dtype, order=order))
                 assert got.shape == (n, H) and got.dtype == np.float64
                 assert got.tobytes() == ref.tobytes()
@@ -252,7 +254,7 @@ def test_hybrid_matches_a_scatter_onto_the_replay():
     rep = replay_exact(mdp, bc_train(d1, 2, 2, 6), soft)
     for oracle in (soft, membership_tabular(d1, 2, 6)):
         ref = rep.d.copy()
-        w = 1.0 - _prefix_weights_batch(oracle, d2.states)
+        w = 1.0 - prefix_weights(oracle, d2.states)
         t_idx = np.broadcast_to(np.arange(6), d2.states.shape)
         np.add.at(ref, (t_idx, d2.states, d2.actions), w / d2.n)
         g = hybrid_estimate(rep, d2, oracle).g

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from il_lab.acceptance import random_mdp, random_policy
 from il_lab.harness import make_instance
 from il_lab.instances import make_bc_lb, make_mm_lb
+from il_lab.learners import MembershipOracle
+from il_lab.matching import MatchTarget
 from il_lab.mdp import MarkovPolicy, OccupancyMeasures, TabularMdp, \
     check_json, deterministic_policy, exact_occupancy, l1_layer_distance, \
     mdp_from_json, mdp_to_json, policy_from_json, policy_to_json, \
@@ -85,6 +87,49 @@ def test_occupancy_kind_rules():
     OccupancyMeasures(good * 0.4, "weighted")
     with pytest.raises(ValueError):
         OccupancyMeasures(good * 1.2, "weighted")
+
+
+# Every float table the lab validates, built through mdp.table: its name in
+# messages, a builder that stores a given array, a valid array (H=3, S=2,
+# A=2), the shape the message asks for, and whether entries stop at 1.
+RHO, P, R = np.full(2, 0.5), np.full((2, 2, 2, 2), 0.5), np.full((3, 2, 2), 0.5)
+TABLES = {
+    "rho": (lambda x: TabularMdp(3, 2, 2, x, P, R).rho, RHO, "(2,)", False),
+    "transitions": (lambda x: TabularMdp(3, 2, 2, RHO, x, R).transitions, P,
+                    "(2, 2, 2, 2)", False),
+    "rewards": (lambda x: TabularMdp(3, 2, 2, RHO, P, x).rewards, R,
+                "(3, 2, 2)", True),
+    "policy": (lambda x: MarkovPolicy(x).probs, np.full((3, 2, 2), 0.5),
+               "(*, *, *)", False),
+    "occupancies": (lambda x: OccupancyMeasures(x, "exact").d,
+                    np.full((3, 2, 2), 0.25), "(*, *, *)", False),
+    "target": (lambda x: MatchTarget(x).g, np.full((3, 2, 2), 0.25),
+               "(*, *, *)", False),
+    "membership": (lambda x: MembershipOracle(x).m, np.full((3, 2), 0.5),
+                   "(*, *)", True),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_every_float_table_is_checked_and_frozen_alike(name):
+    build, good, want, unit = TABLES[name]
+    stored = build(good)
+    assert np.array_equal(stored, good) and stored.dtype == np.float64
+    assert not stored.flags.writeable and not np.shares_memory(stored, good)
+    with pytest.raises(ValueError) as exc:
+        build(good[None])
+    assert str(exc.value) == (f"{name} must have shape {want}, "
+                              f"got {good[None].shape}")
+    # A negative entry keeps its row's sum, so only the entry check sees it.
+    nan, negative, above = good.copy(), good.copy(), good.copy()
+    nan.flat[0] = np.nan
+    negative.flat[0] -= 1.0
+    negative.flat[1] += 1.0
+    above.flat[0] = 1.5
+    for bad in (nan, negative) + ((above,) if unit else ()):
+        with pytest.raises(ValueError, match=f"^{name} entries must be "
+                           f"finite and lie in \\[0, {1 if unit else 'inf'}\\]$"):
+            build(bad)
 
 
 # ---------------------------------------------------------------- rollout

@@ -1,6 +1,7 @@
 """The library imports nothing at run time but the standard library, numpy
 and itself; scipy and the other test tools stay test-only. Every name a
-module imports is used there; only __init__.py imports to re-export."""
+module imports is used there; only __init__.py imports to re-export. LAPACK
+and the finite-entries check each run in one function."""
 
 import ast
 import sys
@@ -91,14 +92,13 @@ def linalg_uses(tree):
     return uses
 
 
-def test_lapack_runs_only_in_factor_and_fit_slope():
+def test_lapack_runs_only_in_factor():
     # A LAPACK call's rounding can depend on the BLAS thread count. The
-    # match solve calls it once per start basis, in simplex.factor, and the
-    # rest of the lab only to fit slopes.
+    # match solve calls it once per start basis, in simplex.factor, and
+    # nothing else in the lab calls it.
     uses = {(path.name, *use) for path in SRC.glob("*.py")
             for use in linalg_uses(ast.parse(path.read_text()))}
-    assert uses == {("simplex.py", "factor", "inv"),
-                    ("harness.py", "fit_slope", "lstsq")}
+    assert uses == {("simplex.py", "factor", "inv")}
 
 
 def test_a_linalg_call_anywhere_else_is_caught():
@@ -108,3 +108,36 @@ def test_a_linalg_call_anywhere_else_is_caught():
                      "    return np.linalg.LinAlgError\n")
     assert sorted(linalg_uses(tree), key=str) == [
         ("import", "numpy"), ("inner", "solve"), ("simplex", "LinAlgError")]
+
+
+def attribute_reads(tree, attr):
+    """The function (None at module level) of every read of an attribute
+    named attr, such as np.isfinite, in the module."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_finite_entries_are_checked_only_in_table():
+    # Every float table the lab validates goes through mdp.table, so its
+    # finite-entries check is written once.
+    reads = [(path.name, func) for path in sorted(SRC.glob("*.py"))
+             for func in attribute_reads(ast.parse(path.read_text()),
+                                         "isfinite")]
+    assert reads == [("mdp.py", "table")]
+
+
+def test_an_isfinite_read_anywhere_else_is_caught():
+    tree = ast.parse("import numpy as np\nok = np.isfinite\n"
+                     "class T:\n    def check(self, g):\n"
+                     "        return np.all(np.isfinite(g))\n")
+    assert attribute_reads(tree, "isfinite") == [None, "check"]
