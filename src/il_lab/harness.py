@@ -163,8 +163,11 @@ def train(learner, options, dataset, mdp):
         check_dataset(dataset, mdp)
         return mm_train(dataset, mdp)
     if learner == "re":
-        check_json(options, SPLIT_KINDS, "replay-estimation config")
-        cfg = SplitConfig(**options)
+        try:
+            cfg = SplitConfig(**options)  # checks the fields' kinds
+        except TypeError:  # not an object, or a key SplitConfig lacks
+            check_json(options, SPLIT_KINDS, "replay-estimation config")
+            raise
         check_dataset(dataset, mdp)
         return re_train(dataset, mdp, cfg)
     raise ValueError(f"unknown learner {learner!r}")

@@ -144,15 +144,17 @@ def rollout_batch(mdp, policy, n, seed):
     hash(s_i, t, 0), the action at step t on hash(s_i, t, 1). The loop keeps
     (H, n) buffers and hashes incrementally: trajectory seeds are absorbed
     once per call, t once per step, and the stream tag last, so each step
-    costs at most three absorb rounds; none for a stream whose table is
-    fixed, since no hash can change its draws. Draws come from the policy's
-    draw tables and the mdp's arrival tables (_arrival_tables), each built
-    once per object. The arrays are the buffers' F-order views, in the
-    narrowest signed dtype that holds every state and action index,
-    np.min_scalar_type(-max(S, A)), the rule of the tables' guides (int8
-    while max(S, A) <= 128): a caller forms an index product such as
-    s * A + a in a wider dtype, as the loop widens each step's states to
-    int64 once and uses them for the action draw and the row index."""
+    costs at most three absorb rounds; a step that hashes one stream only
+    absorbs t and its tag straight into that stream's hash, and a stream
+    whose table is fixed is not hashed, since no hash can change its
+    draws. Draws come from the policy's draw tables and the mdp's arrival
+    tables (_arrival_tables), each built once per object. The arrays are
+    the buffers' F-order views, in the narrowest signed dtype that holds
+    every state and action index, np.min_scalar_type(-max(S, A)), the rule
+    of the tables' guides (int8 while max(S, A) <= 128): a caller forms an
+    index product such as s * A + a in a wider dtype, as the loop widens
+    each step's states to int64 once and uses them for the action draw and
+    the row index."""
     _check_dims(mdp, policy)
     H, A = mdp.horizon, mdp.num_actions
     arrive = _arrival_tables(mdp)
@@ -167,21 +169,29 @@ def rollout_batch(mdp, policy, n, seed):
     for t in range(H):
         hash_state = arrive[t][2] is None
         hash_action = pi[t][2] is None
-        if hash_state or hash_action:
+        if hash_state and hash_action:
             np.copyto(step, prefix)
             absorb(step, t, tmp)
+            base, head = step, ()
+        else:
+            base, head = prefix, (t,)
         if hash_state:
-            np.copyto(h, step)
-            absorb(h, 0, tmp)
+            _stream_hash(h, base, (*head, 0), tmp)
         states[t] = categorical_rows(arrive[t], rows, h)
         if hash_action:
-            np.copyto(h, step)
-            absorb(h, 1, tmp)
+            _stream_hash(h, base, (*head, 1), tmp)
         np.copyto(rows, states[t])  # the states, widened once per step
         actions[t] = categorical_rows(pi[t], rows, h)
         rows *= A
         rows += actions[t]
     return states.T, actions.T
+
+
+def _stream_hash(h, base, suffix, tmp):
+    """h = base's hash chain extended by the ints of suffix, in place."""
+    np.copyto(h, base)
+    for v in suffix:
+        absorb(h, v, tmp)
 
 
 @lru_cache(maxsize=INSTANCE_CACHE)

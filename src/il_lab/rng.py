@@ -78,13 +78,16 @@ def absorb(h, v, tmp):
 
 def mix64_array(*vals):
     """Vectorized mix64. Each val is an int or uint64-compatible ndarray;
-    arrays broadcast. Bit-identical to mix64 applied elementwise."""
+    arrays broadcast. Bit-identical to mix64 applied elementwise: the
+    leading scalars are hashed once, by mix64, and each val from the first
+    array on is absorbed into the filled array."""
     shape = np.broadcast_shapes(*(np.shape(v) for v in vals))
     if shape == ():
         return np.uint64(mix64(*vals))
-    h = np.zeros(shape, np.uint64)
+    k = next(i for i, v in enumerate(vals) if np.ndim(v))
+    h = np.full(shape, mix64(*vals[:k]), np.uint64)
     tmp = np.empty_like(h)
-    for v in vals:
+    for v in vals[k:]:
         absorb(h, v, tmp)
     return h
 

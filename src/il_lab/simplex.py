@@ -37,14 +37,25 @@ move with the BLAS thread count (a 128 x 128 inverse's did). The objective
 returned is the certificate's dual bound b.y + sum_j g_j min(1, -z_j).
 Never reports "optimal" without that certificate.
 
-Each pivot's rank-1 update touches only the tableau entries whose pivot-row
-and pivot-column factors are both nonzero (a few percent of the pivot row on
-the matching LPs). Every other entry would have had an exact zero subtracted,
-so skipping it changes at most the sign of a zero: the pivot path, basis and
-solution are those of the dense update. The segment ends of the basic
-variables are kept once, by basis position, and the loop keeps its pricing
-and ratios in buffers it allocates once, so an iteration gathers nothing by
-basis index."""
+The tableau is kept by columns: TT is (n, m + 1), its row j column j of
+B^-1 A followed by z_j, so the entering column is one contiguous row; the
+basic values are a vector of their own. Each pivot's rank-1 update runs on
+one row span, a row gather: the rows of the columns where the pivot row is
+nonzero, from the entering column's first nonzero entry on, z included (on
+the matching LPs about 42 of 256 columns by 83 of 128 rows). An entry
+outside the span, or inside it where the entering column is 0, would have
+an exact zero subtracted, and a step of 0 would subtract exact zeros from
+the basic values; skipping either, or subtracting, changes at most the
+sign of a zero, which no later value reads: the pivot path, basis and
+solution are those of the dense update. The ratio test is one plain pass
+over the rows: with sign the direction x_j moves, the ratio of a row is the
+larger of its ratios to its segment's two ends, then rows whose entering
+entry is at most 1e-9 in size get inf. A flip moves no z, so it refreshes
+only its own reduced cost. The loop forms every entry with elementwise
+numpy, no matrix product, so no pivot's bytes depend on the BLAS thread
+count either. The segment ends of the basic variables are kept once, by
+basis position, and the loop keeps its pricing and ratios in buffers it
+allocates once, so an iteration gathers nothing by basis index."""
 
 import numpy as np
 
@@ -106,39 +117,41 @@ def simplex(A, b, g, start):
             x[basis] = np.clip(xb, lob, hib)
             bound = float(b @ y + g @ np.minimum(1.0, -z))
             return x, bound, "optimal", total_it
-        T = np.zeros((m + 1, n + 1))
-        T[:m, :n] = B0invA if C is None else C @ B0invA
-        T[:m, n] = xb
-        T[m, :n] = z
-        claimed, it = _iterate(T, basis, g, xn, lob, hib, up, down,
+        # The tableau by columns: row j of TT is column j of B^-1 A, then
+        # z_j.
+        TT = np.empty((n, m + 1))
+        TT[:, :m] = (B0invA if C is None else C @ B0invA).T
+        TT[:, m] = z
+        claimed, it = _iterate(TT, xb, basis, g, xn, lob, hib, up, down,
                                50 * n - total_it)
         total_it += it
         if not claimed or it == 0:
             return None, np.inf, "numeric-failure", total_it
-        C = T[:m, crash]  # the crash columns of B^-1 A
+        C = TT[crash, :m].T  # the crash columns of B^-1 A, F-ordered
     return None, np.inf, "numeric-failure", total_it
 
 
-def _iterate(T, basis, g, xn, lob, hib, up, down, budget):
+@np.errstate(divide="ignore", invalid="ignore")  # the ratio test's /0
+def _iterate(TT, xb, basis, g, xn, lob, hib, up, down, budget):
     """Pivot or flip until the tableau prices out or the budget runs dry,
     switching to Bland's rule once STALL_LIMIT iterations in a row have not
-    improved the objective. Returns (claimed_optimal, iterations); basis,
-    xn, the segments [lob[i], hib[i]] of the basic basis[i], up and down
-    are updated in place. T must be C-contiguous; T[:m, :n] holds B^-1 A,
-    T[:m, n] the basic values and T[m, :n] the row z = c_B B^-1 A."""
-    if not T.flags.c_contiguous:
-        raise ValueError("tableau must be C-contiguous")
-    m, n = T.shape[0] - 1, T.shape[1] - 1
-    flat, z, xb = T.reshape(-1), T[m, :n], T[:m, n]
+    improved the objective. Returns (claimed_optimal, iterations); TT, xb,
+    basis, xn, the segments [lob[i], hib[i]] of the basic basis[i], up and
+    down are updated in place. TT is (n, m + 1): TT[:, :m] holds the
+    transpose of B^-1 A and TT[:, m] the row z = c_B B^-1 A; xb holds the
+    basic values."""
+    n, m = TT.shape[0], TT.shape[1] - 1
+    z = TT[:, m]
     r, fall = np.empty(n), np.empty(n)
-    neg, num, ratios = np.empty(m), np.empty(m), np.empty(m)
+    lo, hi, ratios, moved = (np.empty(m) for _ in range(4))
+    small = np.empty(m, dtype=bool)
     bland = False
     stall, stall_limit = 0, STALL_LIMIT
     obj = last_obj = 0.0
+    np.add(z, up, out=r)
+    np.subtract(down, z, out=fall)
+    np.maximum(r, fall, out=r)
     for it in range(max(budget, 1)):
-        np.add(z, up, out=r)
-        np.subtract(down, z, out=fall)
-        np.maximum(r, fall, out=r)
         if bland:
             js = (r > TOL).nonzero()[0]
             if js.size == 0:
@@ -146,52 +159,78 @@ def _iterate(T, basis, g, xn, lob, hib, up, down, budget):
             j = int(js[0])
         else:
             j = int(r.argmax())
-            if r.item(j) <= TOL:
-                return True, it
-        zj, gj, xj, rj = z.item(j), g.item(j), xn.item(j), r.item(j)
+        rj = r.item(j)
+        if rj <= TOL:
+            return True, it
+        zj, gj, xj = z.item(j), g.item(j), xn.item(j)
         sign = 1.0 if zj + up.item(j) >= down.item(j) - zj else -1.0
         # x_j moves along [g, inf) with slope +1 if it rises from g, else
         # along [0, g] with slope -1, whose far end it reaches after g.
         cj, reach = (1.0, np.inf) if sign > 0 and xj == gj else (-1.0, gj)
-        # Moving x_j by sign * theta moves the basic values by -theta * alpha.
-        col = T[:m, j]
-        alpha = col if sign > 0 else np.negative(col, out=neg)
-        np.subtract(xb, np.where(alpha > 0.0, lob, hib), out=num)
-        ratios.fill(np.inf)
-        np.divide(num, alpha, out=ratios, where=np.abs(alpha) > _PIVOT_MIN)
-        theta = ratios.min()
-        if reach <= theta:
+        # Moving x_j by sign * theta moves the basic values by -theta * alpha,
+        # alpha = sign * col. A basic x stops at lob if alpha > 0 and at hib
+        # if alpha < 0: at the larger of (xb - lob) / alpha and
+        # (xb - hib) / alpha, as lob < hib, each formed with the sign folded
+        # into the difference.
+        col = TT[j, :m]
+        if sign > 0:
+            np.subtract(xb, lob, out=lo)
+            np.subtract(xb, hib, out=hi)
+        else:
+            np.subtract(lob, xb, out=lo)
+            np.subtract(hib, xb, out=hi)
+        np.divide(lo, col, out=lo)
+        np.divide(hi, col, out=hi)
+        np.maximum(lo, hi, out=ratios)
+        np.less_equal(np.abs(col, out=moved), _PIVOT_MIN, out=small)
+        ratios[small] = np.inf
+        theta = ratios.item(ratios.argmin())
+        flip = reach <= theta
+        if flip:
             if reach == np.inf:
                 return False, it  # unbounded direction: only reachable via drift
             step = reach
-            xb -= step * alpha
-            xn[j] = x = gj - xj
-            up[j], down[j] = _offsets(x, gj)
         else:
             cand = (ratios <= theta + 1e-12).nonzero()[0]
             if cand.size == 1:
                 p = int(cand[0])
             elif bland:
-                p = int(cand[np.argmin(basis[cand])])
+                p = int(cand[basis[cand].argmin()])
             else:
-                p = int(cand[np.argmax(np.abs(alpha[cand]))])
-            step, leave = ratios.item(p), int(basis[p])
-            xb -= step * alpha
+                p = int(cand[np.abs(col[cand]).argmax()])
+            step = ratios.item(p)
+        if step:  # a degenerate step would subtract exact zeros
+            np.multiply(col, step, out=moved)
+            (np.subtract if sign > 0 else np.add)(xb, moved, out=xb)
+        if flip:
+            xn[j] = x = gj - xj
+            up[j], down[j] = u, d = _offsets(x, gj)
+            r[j] = max(zj + u, d - zj)  # z did not move
+        else:
+            leave, a = int(basis[p]), col.item(p)
             xb[p] = xj + sign * step
-            xn[leave] = x = lob.item(p) if alpha.item(p) > 0 else hib.item(p)
+            xn[leave] = x = lob.item(p) if sign * a > 0 else hib.item(p)
             up[leave], down[leave] = _offsets(x, g.item(leave))
             xn[j] = 0.0
-            seg = (gj, np.inf) if cj > 0 else (0.0, gj)
-            lob[p], hib[p] = seg
+            lob[p], hib[p] = (gj, np.inf) if cj > 0 else (0.0, gj)
             up[j] = down[j] = -np.inf
-            piv = T[p, :n] / T[p, j]
-            rows, cols = col.nonzero()[0], piv.nonzero()[0]
-            pc = piv[cols]
-            # The entries of np.ix_(rows, cols), addressed more cheaply.
-            flat[rows[:, None] * (n + 1) + cols] -= col[rows][:, None] * pc
-            z[cols] -= (zj - cj) * pc
-            T[p, :n] = piv
+            # The rank-1 update on its row span, z included: z moves by
+            # (zj - cj) times the pivot row. einsum's outer product is
+            # np.multiply.outer's, one rounded product per entry, with
+            # less overhead per row.
+            cols = TT[:, p].nonzero()[0]
+            r0 = int(col.nonzero()[0][0])
+            span = TT[cols, r0:]
+            pc = span[:, p - r0] / a  # the pivot row over the pivot
+            row = TT[j, r0:].copy()
+            row[-1] = zj - cj
+            np.subtract(span, np.einsum("i,j->ij", pc, row), out=span)
+            span[:, p - r0] = pc
+            TT[cols, r0:] = span
             basis[p] = j
+            np.add(z, up, out=r)
+            np.subtract(down, z, out=fall)
+            np.maximum(r, fall, out=r)
         obj -= step * rj
         if obj > last_obj - 1e-12:
             stall += 1

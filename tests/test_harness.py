@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from il_lab import harness
+from il_lab import datasets, harness
 from il_lab.datasets import Dataset, SplitConfig, sample_dataset
 from il_lab.harness import CSV_COLUMNS, ExperimentConfig, ResultRow, \
     conditional_gap_check, event_probe, fit_slope, load_csv, make_instance, \
@@ -168,6 +168,22 @@ def test_train_builds_re_config_from_its_fields():
                            "oracle_override$")):
         with pytest.raises(ValueError, match=message):
             train("re", opts, None, None)
+
+
+def test_train_checks_an_accepted_re_config_once(monkeypatch):
+    # SplitConfig checks its fields' kinds as it is built; train checks the
+    # options itself only when SplitConfig cannot take them.
+    checked, check_json = [], datasets.check_json
+    for module in (datasets, harness):
+        monkeypatch.setattr(module, "check_json", lambda doc, kinds, what,
+                            **kw: checked.append(what)
+                            or check_json(doc, kinds, what, **kw))
+    mdp, expert = make_mm_lb(4, 64)
+    ds = sample_dataset(mdp, expert, 64, 5)
+    for opts in ({"frac1": 0.3, "split_seed": 5}, {}):
+        checked.clear()
+        train("re", opts, ds, mdp)
+        assert checked == ["replay-estimation config"]
 
 
 @pytest.mark.parametrize("learner", ["bc", "mm", "re"])

@@ -23,6 +23,17 @@ def test_mix64_multi_argument_chain():
     assert np.array_equal(vec, scalar)
 
 
+def test_leading_scalars_are_hashed_once_bit_for_bit():
+    # mix64_array hashes its leading scalars once and fills the array: two
+    # leading ints, a 0-d numpy scalar and a negative int, and a 0-d array,
+    # each before an array and a trailing int.
+    idx = np.arange(50, dtype=np.uint64)
+    for lead in ((7, 3), (np.uint64(2**63 + 5), -1), (np.array(9),)):
+        vec = mix64_array(*lead, idx, 4)
+        scalar = [mix64(*lead, i, 4) for i in range(50)]
+        assert np.array_equal(vec, np.array(scalar, dtype=np.uint64))
+
+
 def test_absorb_extends_a_shared_prefix():
     # Absorbing a prefix once and each suffix in place gives the full hash.
     idx = np.arange(100, dtype=np.uint64)

@@ -141,3 +141,50 @@ def test_an_isfinite_read_anywhere_else_is_caught():
                      "class T:\n    def check(self, g):\n"
                      "        return np.all(np.isfinite(g))\n")
     assert attribute_reads(tree, "isfinite") == [None, "check"]
+
+
+# numpy names of matrix products, which hand the sum to BLAS.
+MATRIX_PRODUCTS = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+
+
+def matrix_products(tree, func):
+    """The matrix products in the function named func, each as spelled:
+    "@" for the operator, the numpy name (MATRIX_PRODUCTS) for a call, and
+    "optimize" for an einsum allowed to pass its sum to BLAS; None when the
+    module defines no such function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == func:
+            found = []
+            for sub in ast.walk(node):
+                if (isinstance(sub, (ast.BinOp, ast.AugAssign))
+                        and isinstance(sub.op, ast.MatMult)):
+                    found.append("@")
+                elif (isinstance(sub, ast.Attribute)
+                      and sub.attr in MATRIX_PRODUCTS):
+                    found.append(sub.attr)
+                elif isinstance(sub, ast.Name) and sub.id in MATRIX_PRODUCTS:
+                    found.append(sub.id)
+                elif isinstance(sub, ast.keyword) and sub.arg == "optimize":
+                    found.append("optimize")
+            return found
+    return None
+
+
+def test_the_pivot_loop_takes_no_matrix_product():
+    # A BLAS product's rounding can depend on the thread count. The pivot
+    # loop forms every entry with elementwise numpy, so no pivot's bytes
+    # can.
+    tree = ast.parse((SRC / "simplex.py").read_text())
+    assert matrix_products(tree, "_iterate") == []
+
+
+def test_a_matrix_product_in_the_pivot_loop_is_caught():
+    tree = ast.parse("import numpy as np\nfrom numpy import matmul\n"
+                     "def _iterate(T, x):\n    y = T @ x\n    T @= T\n"
+                     "    y += np.dot(T, x) + matmul(T, x) + T.dot(x)\n"
+                     "    y += np.einsum('ij,j', T, x, optimize=True)\n"
+                     "    return np.linalg.norm(y)\n"
+                     "def other(T):\n    return T @ T\n")
+    assert sorted(matrix_products(tree, "_iterate")) == [
+        "@", "@", "dot", "dot", "linalg", "matmul", "optimize"]
+    assert matrix_products(tree, "_pivot") is None
